@@ -1,7 +1,8 @@
 // Command ffetd serves the staged implementation flow over HTTP: single
-// flows, sweeps and Monte Carlo variation studies, with a cross-request
-// checkpoint cache, request coalescing, NDJSON progress streaming and an
-// exact-config result memo. SIGINT/SIGTERM drain in-flight work before
+// flows, sweeps and Monte Carlo variation studies, planned and executed
+// like the batch tables but with a cross-request checkpoint store,
+// request coalescing, NDJSON progress streaming and an exact-config
+// result memo. SIGINT/SIGTERM drain in-flight work before
 // exit; a second signal cancels it immediately (cancelled requests still
 // report their partial stage timings in the error payload).
 //
@@ -32,7 +33,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8077", "listen address")
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
-	cacheMB := flag.Int64("cache-mb", 256, "checkpoint cache budget (MiB)")
+	cacheMB := flag.Int64("cache-mb", 256, "checkpoint store budget (MiB)")
 	workers := flag.Int("workers", 0, "max concurrent flow executions (0 = min(GOMAXPROCS, 12))")
 	queue := flag.Int("queue", 0, "admission queue bound beyond in-flight workers (0 = 64)")
 	memoEntries := flag.Int("memo-entries", 0, "exact-config result memo LRU bound (0 = 4096)")
@@ -184,23 +185,7 @@ func runOneshot(path string, scale exp.Scale) error {
 		if err != nil {
 			return err
 		}
-		opt := variation.DefaultOptions()
-		if req.MC.Samples > 0 {
-			opt.Samples = req.MC.Samples
-		}
-		if req.MC.Workers > 0 {
-			opt.Workers = req.MC.Workers
-		}
-		if req.MC.Seed != 0 {
-			opt.Seed = req.MC.Seed
-		}
-		if req.MC.SigmaNm > 0 {
-			opt.SigmaNm = req.MC.SigmaNm
-		}
-		if req.MC.FloorFF > 0 {
-			opt.FloorFF = req.MC.FloorFF
-		}
-		sum, err := variation.Study(ctx, basis, opt)
+		sum, err := variation.Study(ctx, basis, req.MC.Options())
 		if err != nil {
 			return err
 		}

@@ -41,8 +41,7 @@ import (
 // a synth diff is considered too large to patch: past it the changed-net
 // closure touches most of the design and the patched path's bookkeeping
 // costs more than it saves, so the fork falls back to the full pipeline.
-// Tunable; see ROADMAP ("diff-size threshold tuning").
-var SynthDiffMaxResizedFrac = 0.25
+const SynthDiffMaxResizedFrac = 0.25
 
 // SynthDiffStats reports which patched paths one synth-diff fork took.
 // The struct returned by ForkSynthDiff is updated live as the child's

@@ -169,24 +169,24 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // a full pass under the new options).
 func sweepTable(t *testing.T, s *Suite) *Table {
 	t.Helper()
-	var specs []runSpec
+	var specs []Spec
 	for _, util := range []float64{0.70, 0.72} {
 		for _, bp := range []float64{0.5, 0.16} {
 			cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, util)
 			cfg.BackPinFraction = bp
-			specs = append(specs, runSpec{tech.FFET, cfg})
+			specs = append(specs, Spec{tech.FFET, cfg})
 		}
 	}
 	drvs := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
 	drvs.BackPinFraction = 0.5
 	drvs.MaxDRVs = 500
-	specs = append(specs, runSpec{tech.FFET, drvs})
+	specs = append(specs, Spec{tech.FFET, drvs})
 	staPt := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
 	staPt.BackPinFraction = 0.5
 	staPt.STA = sta.DefaultOptions()
 	staPt.STA.InputSlewPs = 18
-	specs = append(specs, runSpec{tech.FFET, staPt})
-	specs = append(specs, runSpec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, 0.70)})
+	specs = append(specs, Spec{tech.FFET, staPt})
+	specs = append(specs, Spec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, 0.70)})
 	// Repeat the first point: memo dedup must hand back the same result.
 	specs = append(specs, specs[0])
 	rs, err := s.runAll(specs)
@@ -200,7 +200,7 @@ func sweepTable(t *testing.T, s *Suite) *Table {
 	}
 	for i, r := range rs {
 		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%v", specs[i].arch),
+			fmt.Sprintf("%v", specs[i].Arch),
 			f1(r.Config.Utilization * 100),
 			f2(r.Config.BackPinFraction),
 			f3s(r.AchievedFreqGHz), f3s(r.PowerUW / 1000),
@@ -248,12 +248,12 @@ func TestDiffChainSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-flow sweep in -short mode")
 	}
-	specsFor := func() []runSpec {
-		var specs []runSpec
+	specsFor := func() []Spec {
+		var specs []Spec
 		for _, tgt := range []float64{2.0, 2.005, 2.01} {
 			cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, tgt, 0.70)
 			cfg.BackPinFraction = 0.5
-			specs = append(specs, runSpec{tech.FFET, cfg})
+			specs = append(specs, Spec{tech.FFET, cfg})
 		}
 		return specs
 	}
@@ -301,11 +301,11 @@ func TestDiffChainGapSplit(t *testing.T) {
 		t.Skip("multi-flow sweep in -short mode")
 	}
 	s := quickSuite(t)
-	var specs []runSpec
+	var specs []Spec
 	for _, tgt := range []float64{1.0, 2.0} { // 100% apart >> 12% gap cap
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, tgt, 0.70)
 		cfg.BackPinFraction = 0.5
-		specs = append(specs, runSpec{tech.FFET, cfg})
+		specs = append(specs, Spec{tech.FFET, cfg})
 	}
 	if _, err := s.runAll(specs); err != nil {
 		t.Fatal(err)
@@ -327,12 +327,12 @@ func TestInvalidPointDoesNotPoisonClass(t *testing.T) {
 	s := quickSuite(t)
 	bad := core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, 0.70)
 	bad.BackPinFraction = 0.5 // backside pins without backside layers
-	if _, err := s.runAll([]runSpec{{tech.FFET, bad}}); err == nil {
+	if _, err := s.runAll([]Spec{{tech.FFET, bad}}); err == nil {
 		t.Fatal("invalid point must fail its sweep")
 	}
 	good := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
 	good.BackPinFraction = 0.5
-	rs, err := s.runAll([]runSpec{{tech.FFET, good}})
+	rs, err := s.runAll([]Spec{{tech.FFET, good}})
 	if err != nil {
 		t.Fatalf("valid sweep in the same synth class failed after an invalid point: %v", err)
 	}

@@ -191,11 +191,11 @@ func (s *Suite) Table2() *Table {
 // result slice always covers the full grid — dead points are failure
 // placeholders — and the error joins whatever killed them.
 func (s *Suite) areaUtilSweep(arch tech.Arch, pattern tech.Pattern, backPins float64, target float64) ([]*core.FlowResult, error) {
-	var specs []runSpec
+	var specs []Spec
 	for _, u := range s.utilSweep() {
 		cfg := core.DefaultFlowConfig(pattern, target, u)
 		cfg.BackPinFraction = backPins
-		specs = append(specs, runSpec{arch, cfg})
+		specs = append(specs, Spec{arch, cfg})
 	}
 	return s.runAll(specs)
 }
@@ -300,10 +300,10 @@ func (s *Suite) Fig08c() (*Table, error) {
 // frequency for CFET and FFET FM12 at 76% utilization.
 func (s *Suite) Fig09() (*Table, error) {
 	util := 0.76
-	var specs []runSpec
+	var specs []Spec
 	for _, tgt := range s.freqSweep() {
-		specs = append(specs, runSpec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, tgt, util)})
-		specs = append(specs, runSpec{tech.FFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, tgt, util)})
+		specs = append(specs, Spec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, tgt, util)})
+		specs = append(specs, Spec{tech.FFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, tgt, util)})
 	}
 	rs, sweepErr := s.runAll(specs)
 	t := &Table{
@@ -343,14 +343,14 @@ func (s *Suite) Fig09() (*Table, error) {
 // Fig10 reports achieved frequency vs core area at a 1.5 GHz target
 // (area varied through utilization).
 func (s *Suite) Fig10() (*Table, error) {
-	var specs []runSpec
+	var specs []Spec
 	utils := []float64{0.56, 0.62, 0.68, 0.72, 0.76}
 	if s.Scale == Full {
 		utils = []float64{0.52, 0.56, 0.60, 0.64, 0.68, 0.72, 0.76, 0.80}
 	}
 	for _, u := range utils {
-		specs = append(specs, runSpec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, u)})
-		specs = append(specs, runSpec{tech.FFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, u)})
+		specs = append(specs, Spec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, u)})
+		specs = append(specs, Spec{tech.FFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, u)})
 	}
 	rs, sweepErr := s.runAll(specs)
 	t := &Table{
@@ -388,12 +388,12 @@ func (s *Suite) Fig11() (*Table, error) {
 	if s.Scale == Full {
 		utils = []float64{0.46, 0.51, 0.56, 0.61, 0.66, 0.71, 0.76}
 	}
-	var specs []runSpec
+	var specs []Spec
 	for _, bp := range does {
 		for _, u := range utils {
 			cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, u)
 			cfg.BackPinFraction = bp
-			specs = append(specs, runSpec{tech.FFET, cfg})
+			specs = append(specs, Spec{tech.FFET, cfg})
 		}
 	}
 	rs, sweepErr := s.runAll(specs)
@@ -458,12 +458,12 @@ func (s *Suite) Table3() (*Table, error) {
 		{0.40, []tech.Pattern{{Front: 8, Back: 4}, {Front: 7, Back: 5}, {Front: 6, Back: 6}}},
 		{0.50, []tech.Pattern{{Front: 8, Back: 4}, {Front: 7, Back: 5}, {Front: 6, Back: 6}}},
 	}
-	var specs []runSpec
+	var specs []Spec
 	for _, d := range does {
 		for _, p := range d.patterns {
 			cfg := core.DefaultFlowConfig(p, 1.5, util)
 			cfg.BackPinFraction = d.bp
-			specs = append(specs, runSpec{tech.FFET, cfg})
+			specs = append(specs, Spec{tech.FFET, cfg})
 		}
 	}
 	rs, sweepErr := s.runAll(specs)
@@ -526,11 +526,11 @@ func (s *Suite) Fig13() (*Table, error) {
 	if s.Scale == Full {
 		layerCounts = []int{12, 10, 9, 8, 7, 6, 5, 4, 3}
 	}
-	var specs []runSpec
+	var specs []Spec
 	for _, n := range layerCounts {
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: n, Back: n}, 1.5, 0.76)
 		cfg.BackPinFraction = 0.5
-		specs = append(specs, runSpec{tech.FFET, cfg})
+		specs = append(specs, Spec{tech.FFET, cfg})
 	}
 	rs, sweepErr := s.runAll(specs)
 	t := &Table{

@@ -19,17 +19,17 @@ import (
 // leader + two leaf forks) plus one CFET singleton — together they cross
 // every exp.* fault site and, through the flows they launch, every
 // core.stage.* site.
-func faultSpecs() []runSpec {
-	var specs []runSpec
+func faultSpecs() []Spec {
+	var specs []Spec
 	for _, bp := range []float64{0.5, 0.3, 0.16} {
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.70)
 		cfg.BackPinFraction = bp
 		cfg.Name = fmt.Sprintf("bp%.2f", bp)
-		specs = append(specs, runSpec{arch: tech.FFET, cfg: cfg})
+		specs = append(specs, Spec{Arch: tech.FFET, Cfg: cfg})
 	}
 	cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, 0.70)
 	cfg.Name = "cfet12"
-	specs = append(specs, runSpec{arch: tech.CFET, cfg: cfg})
+	specs = append(specs, Spec{Arch: tech.CFET, Cfg: cfg})
 	return specs
 }
 
@@ -75,7 +75,6 @@ func TestFaultScheduleSweep(t *testing.T) {
 			ffetNl:      nlF,
 			cfetNl:      nlC,
 			results:     make(map[RunKey]*core.FlowResult),
-			synthRoots:  make(map[SynthClass]*synthRoot),
 			MaxParallel: 4,
 		}
 	}

@@ -15,6 +15,7 @@ package powerplan
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/def"
 	"repro/internal/floorplan"
@@ -54,7 +55,8 @@ type Result struct {
 	// the legalizer: Blockages[rowIndex] lists blocked X intervals.
 	Blockages map[int][]geom.Interval
 
-	tapComps []*def.Component // lazily built by TapComponents
+	tapOnce  sync.Once
+	tapComps []*def.Component // built once by TapComponents
 }
 
 // MaxUtilization returns the highest placement utilization the tap-cell
@@ -160,12 +162,13 @@ func (r *Result) SpecialNets(fp *floorplan.Plan) []*def.SNet {
 func (r *Result) TapComponents() []*def.Component {
 	// Taps are frozen once Plan returns, so the DEF components are built
 	// once and shared by every caller (both side DEFs reference the same
-	// read-only components; def.Merge copies them when combining).
-	if r.tapComps == nil {
+	// read-only components; def.Merge copies them when combining). Forks
+	// of one powerplan checkpoint reach here concurrently, hence the Once.
+	r.tapOnce.Do(func() {
 		r.tapComps = make([]*def.Component, 0, len(r.Taps))
 		for _, t := range r.Taps {
 			r.tapComps = append(r.tapComps, &def.Component{Name: t.Name, Macro: "PWRTAP", Pos: t.Pos, Fixed: true})
 		}
-	}
+	})
 	return r.tapComps
 }

@@ -1,8 +1,10 @@
 package powerplan
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/def"
 	"repro/internal/floorplan"
 	"repro/internal/tech"
 )
@@ -165,6 +167,29 @@ func TestSpecialNetsAndComponents(t *testing.T) {
 	for _, c := range comps {
 		if !c.Fixed || c.Macro != "PWRTAP" {
 			t.Errorf("tap component %+v must be FIXED PWRTAP", c)
+		}
+	}
+}
+
+// TestTapComponentsConcurrent: forks of one powerplan checkpoint render
+// their DEFs concurrently, so the shared tap components must be built
+// once without racing (run with -race) and handed to every caller.
+func TestTapComponentsConcurrent(t *testing.T) {
+	_, res := ffetPlan(t, 0.7)
+	const callers = 4
+	got := make([][]*def.Component, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = res.TapComponents()
+		}()
+	}
+	wg.Wait()
+	for i, comps := range got {
+		if len(comps) != len(res.Taps) || &comps[0] != &got[0][0] {
+			t.Errorf("caller %d: %d components, not the shared %d", i, len(comps), len(res.Taps))
 		}
 	}
 }

@@ -1,9 +1,12 @@
 // Package serve implements the ffetd daemon: a long-running HTTP+JSON
-// front end over the staged flow. It accepts single-flow, sweep and
-// Monte Carlo variation requests, dedupes concurrent requests whose
-// sharing classes match onto one in-flight staged prefix (the checkpoint
-// cache), streams per-stage progress as NDJSON, memoizes exact-config
-// results, and bounds admission with a worker pool. Responses are
+// front end over the staged flow. Single-flow, sweep and Monte Carlo
+// variation requests are thin callers of exp's sweep planner and
+// executor, the same ones the batch tables run; the daemon adds what a
+// long-lived process needs around them: the exp.Store checkpoint store
+// the executor builds synthesis roots and prefixes through (so concurrent
+// and later requests whose sharing classes match reuse one staged
+// prefix), an exact-config memo of marshaled results, NDJSON progress
+// streaming, and admission through a bounded worker pool. Responses are
 // byte-identical to the offline ffetexp/ffetflow paths: the daemon runs
 // the same staged sessions, forked at the same class boundaries, under
 // the same configs.
@@ -78,8 +81,9 @@ func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 	return arch, cfg, nil
 }
 
-// SweepRequest sweeps one axis of a base spec. The points share staged
-// prefixes through the checkpoint cache exactly like an exp sweep group.
+// SweepRequest sweeps one axis of a base spec. The points are planned and
+// executed exactly like an exp sweep, with the checkpoint store behind
+// them.
 type SweepRequest struct {
 	Base   FlowSpec  `json:"base"`
 	Axis   string    `json:"axis"` // back_pins | util | target_ghz | aspect | seed
@@ -122,6 +126,28 @@ type MCRequest struct {
 	Seed    uint64   `json:"seed,omitempty"`
 	SigmaNm float64  `json:"sigma_nm,omitempty"`
 	FloorFF float64  `json:"floor_ff,omitempty"`
+}
+
+// Options maps the request onto variation.DefaultOptions, overriding only
+// the fields it sets.
+func (r MCRequest) Options() variation.Options {
+	opt := variation.DefaultOptions()
+	if r.Samples > 0 {
+		opt.Samples = r.Samples
+	}
+	if r.Workers > 0 {
+		opt.Workers = r.Workers
+	}
+	if r.Seed != 0 {
+		opt.Seed = r.Seed
+	}
+	if r.SigmaNm > 0 {
+		opt.SigmaNm = r.SigmaNm
+	}
+	if r.FloorFF > 0 {
+		opt.FloorFF = r.FloorFF
+	}
+	return opt
 }
 
 // Summary is the deterministic result payload of one flow run: the PPA

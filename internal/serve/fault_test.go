@@ -13,8 +13,9 @@ import (
 )
 
 // TestFaultSchedulesThroughHandlers drives seeded fault schedules —
-// errors and panics at the serve admission/memo/checkpoint/leaf sites and
-// inside every core stage — through live HTTP handlers. For every seed:
+// errors and panics at the serve admission/memo sites, the executor's
+// exp.* sites and inside every core stage — through live flow, sweep and
+// MC handlers. For every seed:
 // failures must surface as classified JSON error bodies (never an
 // unclassified kind, never a daemon crash), and with the schedule
 // deactivated the daemon must immediately serve offline-identical bytes
@@ -39,9 +40,9 @@ func TestFaultSchedulesThroughHandlers(t *testing.T) {
 			faultinject.WithKinds(faultinject.Error, faultinject.Panic))
 		deactivate := faultinject.Activate(sched)
 
-		// A single flow and a small sweep per seed: the sweep exercises the
-		// coalescing path under faults (waiters must see the builder's
-		// error, not hang).
+		// A single flow, a small sweep and a small MC study per seed: the
+		// sweep exercises the coalescing path under faults (waiters must
+		// see the builder's error, not hang).
 		sp := baseSpec
 		sp.BackPins = float64(seed%4) * 0.2
 		status, got := post(t, ts, "/v1/flow", sp)
@@ -78,6 +79,10 @@ func TestFaultSchedulesThroughHandlers(t *testing.T) {
 		} else {
 			checkFaultResponse(t, seed, "/v1/sweep", status, got, &faulted, &served)
 		}
+
+		mc := MCRequest{Base: sp, Samples: 16, Seed: seed + 1}
+		status, got = post(t, ts, "/v1/mc", mc)
+		checkFaultResponse(t, seed, "/v1/mc", status, got, &faulted, &served)
 		deactivate()
 
 		// Faults off: the daemon must be healthy right now.

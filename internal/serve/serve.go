@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/faultinject"
-	"repro/internal/tech"
 	"repro/internal/variation"
 )
 
@@ -24,7 +22,7 @@ import (
 type Options struct {
 	// Scale selects the benchmark workload size (exp.Quick or exp.Full).
 	Scale exp.Scale
-	// CacheBytes bounds the checkpoint cache's measured resident
+	// CacheBytes bounds the checkpoint store's measured resident
 	// footprint (default 256 MiB).
 	CacheBytes int64
 	// MaxWorkers bounds concurrent flow executions (default
@@ -56,8 +54,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the ffetd daemon state: the exp suite (libraries, netlists,
-// the experiment tables and their synth-root/memo caches), the checkpoint
-// cache, the result memo, and the admission pool. Create with New, mount
+// the experiment tables and their result memo), the checkpoint store
+// every flow, sweep and MC request's executor call builds through, the
+// marshaled-result memo, and the admission pool. Create with New, mount
 // Handler on an http.Server, and Close on shutdown.
 type Server struct {
 	opt   Options
@@ -66,20 +65,22 @@ type Server struct {
 	// parallelize internally, so concurrent tables would only fight over
 	// the pool.
 	suiteMu sync.Mutex
-	cache   *ckCache
+	store   *exp.Store
 
-	// memo holds the marshaled Summary of completed exact-config runs,
-	// keyed by the same memo key as exp's result cache and bounded by an
-	// entry-count LRU (Options.MemoEntries) — bodies are a few hundred
-	// bytes, so a count bound suffices where the checkpoint cache next
-	// door needs measured bytes. Error responses are never memoized.
-	memoMu                              sync.Mutex
-	memo                                map[exp.RunKey]*list.Element
-	memoLRU                             list.List // Front = most recent; values are memoEntry
-	memoHits, memoMisses, memoEvictions int64
+	// mu guards the memo and the summed executor reports. The memo holds
+	// the marshaled Summary of completed exact-config runs, keyed by
+	// exp.MemoKey and bounded by an entry-count LRU
+	// (Options.MemoEntries) — bodies are a few hundred bytes, so a count
+	// bound suffices where the checkpoint store needs measured bytes.
+	// Error responses are never memoized.
+	mu        sync.Mutex
+	memo      map[exp.RunKey]*list.Element
+	memoLRU   list.List // Front = most recent; values are memoEntry
+	memoStats memoStats // Entries and MaxEntries unset
+	sweep     exp.Report
 
-	// baseCtx bounds every shared build and outlives any single request;
-	// Close cancels it, killing in-flight work.
+	// baseCtx bounds every checkpoint build and outlives any single
+	// request; Close cancels it, killing in-flight work.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -89,15 +90,10 @@ type Server struct {
 
 	accepted, rejected atomic.Int64
 	inflight           atomic.Int64
-
-	// Sweep diff-chain outcomes: leaders forked through the synth-diff
-	// path (and whether it held), vs leaders built from the checkpoint
-	// cache with a full back end.
-	diffForks, diffFallbacks, fullSynthForks atomic.Int64
 }
 
 // New builds a daemon: libraries and benchmark netlists for both
-// architectures plus an empty checkpoint cache.
+// architectures plus an empty checkpoint store.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	suite, err := exp.NewSuite(opt.Scale)
@@ -109,7 +105,7 @@ func New(opt Options) (*Server, error) {
 	return &Server{
 		opt:        opt,
 		suite:      suite,
-		cache:      newCkCache(opt.CacheBytes),
+		store:      exp.NewStore(ctx, opt.CacheBytes),
 		memo:       make(map[exp.RunKey]*list.Element),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -145,32 +141,40 @@ var (
 	errDraining = errors.New("serve: draining")
 )
 
-// acquire admits one flow execution into the worker pool, waiting for a
-// slot under the request context. It fails fast when the queue bound is
-// exceeded or the daemon is draining.
-func (s *Server) acquire(ctx context.Context) error {
+// admit admits one unit of flow work into the worker pool, waiting for a
+// slot under the request context, and returns the slot's release. It
+// fails fast when the queue bound is exceeded or the daemon is draining.
+func (s *Server) admit(ctx context.Context) (release func(), err error) {
+	defer func() {
+		if err != nil {
+			s.rejected.Add(1)
+		}
+	}()
 	if err := faultinject.Fire("serve.admit"); err != nil {
-		return err
+		return nil, err
 	}
 	if s.draining.Load() {
-		return errDraining
+		return nil, errDraining
 	}
 	if int(s.queued.Add(1)) > s.opt.MaxQueue+s.opt.MaxWorkers {
 		s.queued.Add(-1)
-		return errBusy
+		return nil, errBusy
 	}
 	defer s.queued.Add(-1)
 	select {
 	case s.sem <- struct{}{}:
-		return nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	case <-s.baseCtx.Done():
-		return errDraining
+		return nil, errDraining
 	}
+	s.accepted.Add(1)
+	s.inflight.Add(1)
+	return func() {
+		s.inflight.Add(-1)
+		<-s.sem
+	}, nil
 }
-
-func (s *Server) release() { <-s.sem }
 
 // reqCtx derives the context one request's flow work runs under: the
 // request context (client disconnect cancels it) joined with the daemon
@@ -181,96 +185,83 @@ func (s *Server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	return ctx, func() { stop(); cancel() }
 }
 
-// point runs one flow config through the memo → checkpoint-cache → fork
-// path and returns the marshaled Summary. The returned session is the
-// completed leaf when the point actually ran one (nil on a memo hit) —
-// sweep chains fork the next frequency point off it — or, on failure,
-// the partially-run leaf for partial stage timings.
-// The build of a shared checkpoint deliberately runs to completion even
-// if this request's context dies while waiting — the result is cache
-// warmth for the next request — but the per-request leaf tail stops at
-// the next stage boundary after cancellation.
-// pt is the sweep point index carried on progress events, nil for
-// single-flow requests (the field is omitted from their streams).
-func (s *Server) point(ctx context.Context, arch tech.Arch, cfg core.FlowConfig, pt *int, emit func(event)) (json.RawMessage, *core.Flow, error) {
-	if err := faultinject.Fire("serve.memo"); err != nil {
-		return nil, nil, err
-	}
-	key := exp.MemoKey(arch, cfg)
-	if body := s.memoGet(key); body != nil {
-		hit := true
-		emit(event{Event: "checkpoint", Point: pt, Kind: "memo", Hit: &hit})
-		return body, nil, nil
-	}
-
-	sc, pc := exp.ClassKeys(arch, cfg)
-	root, rootHit, err := s.cache.getOrBuild(ctx, ckKey{kind: ckSynth, sc: sc}, func() (*core.Flow, error) {
-		if err := faultinject.Fire("serve.synthroot"); err != nil {
-			return nil, err
-		}
-		f, err := core.NewFlow(s.suite.Netlist(arch), sc.RootConfig())
-		if err != nil {
-			return nil, err
-		}
-		return f, f.RunToCtx(s.baseCtx, core.StageSynth)
-	})
-	emit(event{Event: "checkpoint", Point: pt, Kind: "synth", Hit: &rootHit})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	prefix, prefHit, err := s.cache.getOrBuild(ctx, ckKey{kind: ckPrefix, sc: sc, pc: pc}, func() (*core.Flow, error) {
-		if err := faultinject.Fire("serve.prefix"); err != nil {
-			return nil, err
-		}
-		pcfg := pc.Config()
-		f, err := root.Fork(func(c *core.FlowConfig) { *c = pcfg })
-		if err != nil {
-			return nil, err
-		}
-		return f, f.RunToCtx(s.baseCtx, core.StageCTS)
-	})
-	emit(event{Event: "checkpoint", Point: pt, Kind: "prefix", Hit: &prefHit})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if err := faultinject.Fire("serve.leaf"); err != nil {
-		return nil, nil, err
-	}
-	leaf, err := prefix.Fork(func(c *core.FlowConfig) { *c = cfg })
-	if err != nil {
-		return nil, nil, err
-	}
-	body, err := s.runLeafTail(ctx, key, leaf, pt, emit)
-	if err != nil {
-		return nil, leaf, err
-	}
-	return body, leaf, nil
+// outcome is one spec's answer: a marshaled Summary, or the error that
+// killed it with the session as far as it got.
+type outcome struct {
+	body    json.RawMessage
+	err     error
+	partial *core.Flow
 }
 
-// runLeafTail drives a forked leaf session's remaining stages one at a
-// time — each boundary is a progress event and a cancellation point —
-// then marshals and memoizes its Summary. A halted session (infeasible
-// powerplan, placement violation — both reachable from valid API
-// configs) stops advancing NextStage, so the loop must also break on
-// Halted or it would spin forever; the Valid=false Summary then matches
-// the offline path's early return.
-func (s *Server) runLeafTail(ctx context.Context, key exp.RunKey, leaf *core.Flow, pt *int, emit func(event)) (json.RawMessage, error) {
-	for st := leaf.NextStage(); int(st) < core.NumStages && !leaf.Halted(); st = leaf.NextStage() {
-		t0 := time.Now()
-		if err := leaf.RunToCtx(ctx, st); err != nil {
-			return nil, err
+// run answers specs from the result memo and the rest through one
+// executor call, memoizing what it computes. admit gates each unit of
+// executor work (nil when the caller already holds a worker slot); a
+// sweep tags progress with the spec index and streams a "point" event
+// per answered spec.
+func (s *Server) run(ctx context.Context, specs []exp.Spec, admit func() (func(), error), st *streamer, sweep bool) []outcome {
+	out := make([]outcome, len(specs))
+	answer := func(i int, o outcome) {
+		out[i] = o
+		if sweep && o.err == nil {
+			st.emit(event{Event: "point", Point: &i, Data: o.body})
 		}
-		emit(event{Event: "stage", Point: pt, Stage: st.String(),
-			Ms: float64(time.Since(t0)) / float64(time.Millisecond)})
 	}
-	body, err := json.Marshal(NewSummary(leaf.Result()))
-	if err != nil {
-		return nil, err
+	plan := exp.PlanSweep(specs, func(i int) bool {
+		if err := faultinject.Fire("serve.memo"); err != nil {
+			out[i] = outcome{err: err}
+			return true
+		}
+		body := s.memoGet(exp.MemoKey(specs[i].Arch, specs[i].Cfg))
+		if body == nil {
+			return false
+		}
+		hit := true
+		st.emit(event{Event: "checkpoint", Point: pointTag(sweep, i), Kind: "memo", Hit: &hit})
+		answer(i, outcome{body: body})
+		return true
+	})
+	s.execute(ctx, plan, admit, st, sweep, func(p int, res *core.FlowResult, f *core.Flow, err error) {
+		o := outcome{err: err}
+		if err != nil {
+			o.partial = f
+		} else if o.body, o.err = json.Marshal(NewSummary(res)); o.err == nil {
+			pt := plan.Points[p].Spec
+			s.memoPut(exp.MemoKey(pt.Arch, pt.Cfg), o.body)
+		}
+		for _, i := range plan.Points[p].Idxs {
+			answer(i, o)
+		}
+	})
+	return out
+}
+
+// execute runs plan through the suite's executor over the checkpoint
+// store, streams its progress tagged with each plan point's first spec,
+// and adds its report to the daemon's sweep statistics.
+func (s *Server) execute(ctx context.Context, plan *exp.Plan, admit func() (func(), error), st *streamer, sweep bool, done func(int, *core.FlowResult, *core.Flow, error)) {
+	rep := s.suite.Execute(plan, exp.Exec{Ctx: ctx, Store: s.store, Admit: admit, Done: done,
+		Emit: func(p int, ev exp.Event) {
+			pt := pointTag(sweep, plan.Points[p].Idxs[0])
+			if ev.Checkpoint != "" {
+				st.emit(event{Event: "checkpoint", Point: pt, Kind: ev.Checkpoint, Hit: &ev.Hit})
+				return
+			}
+			st.emit(event{Event: "stage", Point: pt, Stage: ev.Stage.String(),
+				Ms: float64(ev.Dur) / float64(time.Millisecond)})
+		},
+	})
+	s.mu.Lock()
+	s.sweep.Add(rep)
+	s.mu.Unlock()
+}
+
+// pointTag is the point field of a progress event: the spec index for
+// sweeps, omitted from single-flow and MC streams.
+func pointTag(sweep bool, i int) *int {
+	if !sweep {
+		return nil
 	}
-	s.memoPut(key, body)
-	return body, nil
+	return &i
 }
 
 // memoEntry is one LRU-listed memo record.
@@ -280,21 +271,21 @@ type memoEntry struct {
 }
 
 func (s *Server) memoGet(key exp.RunKey) json.RawMessage {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	el, ok := s.memo[key]
 	if !ok {
-		s.memoMisses++
+		s.memoStats.Misses++
 		return nil
 	}
-	s.memoHits++
+	s.memoStats.Hits++
 	s.memoLRU.MoveToFront(el)
 	return el.Value.(memoEntry).body
 }
 
 func (s *Server) memoPut(key exp.RunKey, body json.RawMessage) {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.memo[key]; ok {
 		return
 	}
@@ -303,7 +294,7 @@ func (s *Server) memoPut(key exp.RunKey, body json.RawMessage) {
 		back := s.memoLRU.Back()
 		delete(s.memo, back.Value.(memoEntry).key)
 		s.memoLRU.Remove(back)
-		s.memoEvictions++
+		s.memoStats.Evictions++
 	}
 }
 
@@ -352,16 +343,18 @@ func (st *streamer) writeBody(w http.ResponseWriter, body []byte) {
 	w.Write(append(body, '\n'))
 }
 
-// httpError maps a failure onto a status + JSON error body. Once a
-// stream has started the status line is gone; the error becomes a
-// terminal event instead.
-func (st *streamer) httpError(w http.ResponseWriter, status int, body *ErrorBody) {
+// fail terminates a request with err classified onto a status + JSON
+// error body, attaching partial's stage timings. Once a stream has
+// started the status line is gone; the error becomes a terminal event
+// instead.
+func (st *streamer) fail(w http.ResponseWriter, name string, err error, partial *core.Flow) {
+	body := newErrorBody(name, err, partial)
 	if st != nil {
 		st.emit(event{Event: "error", Error: body})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(errStatus(err))
 	b, _ := json.Marshal(struct {
 		Error *ErrorBody `json:"error"`
 	}{body})
@@ -374,26 +367,17 @@ func (st *streamer) httpError(w http.ResponseWriter, status int, body *ErrorBody
 // (faultinject's serve.admit site) are contained.
 func containPanic(st *streamer, w http.ResponseWriter, name string) {
 	if r := recover(); r != nil {
-		st.httpError(w, http.StatusInternalServerError, newErrorBody(name, core.NewPanicError(name, r), nil))
+		st.fail(w, name, core.NewPanicError(name, r), nil)
 	}
 }
 
-// admissionStatus maps an admission failure to its HTTP status.
-func admissionStatus(err error) int {
+// errStatus maps an admission verdict or a flow error to its HTTP status.
+func errStatus(err error) int {
 	switch {
 	case errors.Is(err, errBusy):
 		return http.StatusTooManyRequests
 	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable
-	default:
-		// Not an admission verdict (client disconnected while queued,
-		// injected fault, ...): classify like any flow error.
-		return errStatus(err)
-	}
-}
-
-func errStatus(err error) int {
-	switch {
 	case errors.Is(err, core.ErrInvalidConfig):
 		return http.StatusBadRequest
 	case errors.Is(err, core.ErrCancelled), errors.Is(err, context.Canceled):
@@ -407,10 +391,15 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, "bad request body: "+err.Error()), http.StatusBadRequest)
+		badRequest(w, "bad request body: "+err.Error())
 		return false
 	}
 	return true
+}
+
+// badRequest answers 400 invalid_config before any flow work is admitted.
+func badRequest(w http.ResponseWriter, msg string) {
+	http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, msg), http.StatusBadRequest)
 }
 
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
@@ -420,84 +409,30 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	}
 	arch, cfg, err := spec.Config()
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, err.Error()), http.StatusBadRequest)
+		badRequest(w, err.Error())
 		return
 	}
 	st := newStreamer(w, r)
 	defer containPanic(st, w, cfg.Name)
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
-	if err := s.acquire(ctx); err != nil {
-		s.rejected.Add(1)
-		st.httpError(w, admissionStatus(err), newErrorBody(cfg.Name, err, nil))
+	release, err := s.admit(ctx)
+	if err != nil {
+		st.fail(w, cfg.Name, err, nil)
 		return
 	}
-	s.accepted.Add(1)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	defer s.release()
+	defer release()
 	st.emit(event{Event: "accepted"})
 
-	body, partial, err := s.point(ctx, arch, cfg, nil, st.emit)
-	if err != nil {
-		st.httpError(w, errStatus(err), newErrorBody(cfg.Name, err, partial))
+	o := s.run(ctx, []exp.Spec{{Arch: arch, Cfg: cfg}}, nil, st, false)[0]
+	if o.err != nil {
+		st.fail(w, cfg.Name, o.err, o.partial)
 		return
 	}
 	resp, _ := json.Marshal(struct {
 		Result json.RawMessage `json:"result"`
-	}{body})
+	}{o.body})
 	st.writeBody(w, resp)
-}
-
-// sweepPoint is one decoded /v1/sweep config.
-type sweepPoint struct {
-	arch tech.Arch
-	cfg  core.FlowConfig
-}
-
-// sweepChains partitions a sweep's point indices into frequency chains:
-// points identical up to the synthesis target (and name), sorted by
-// target and split wherever consecutive targets sit further apart than
-// exp.DiffChainMaxRelGap. Points within one chain run sequentially so
-// each can diff-fork its completed neighbor; every other point pair
-// stays parallel.
-func sweepChains(pts []sweepPoint) [][]int {
-	type chainKey struct {
-		arch tech.Arch
-		cfg  core.FlowConfig
-	}
-	groups := make(map[chainKey][]int)
-	var order []chainKey
-	for i, p := range pts {
-		k := chainKey{p.arch, p.cfg}
-		k.cfg.Name = ""
-		k.cfg.TargetFreqGHz = 0
-		k.cfg.Synth.TargetFreqGHz = 0
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	var chains [][]int
-	for _, k := range order {
-		idxs := groups[k]
-		sort.SliceStable(idxs, func(a, b int) bool {
-			return pts[idxs[a]].cfg.TargetFreqGHz < pts[idxs[b]].cfg.TargetFreqGHz
-		})
-		var run []int
-		for j, i := range idxs {
-			if j > 0 {
-				lo := pts[idxs[j-1]].cfg.TargetFreqGHz
-				if lo <= 0 || pts[i].cfg.TargetFreqGHz-lo > exp.DiffChainMaxRelGap*lo {
-					chains = append(chains, run)
-					run = nil
-				}
-			}
-			run = append(run, i)
-		}
-		chains = append(chains, run)
-	}
-	return chains
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -505,131 +440,41 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	specs, err := req.Points()
+	points, err := req.Points()
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, err.Error()), http.StatusBadRequest)
+		badRequest(w, err.Error())
 		return
 	}
-	pts := make([]sweepPoint, len(specs))
-	for i, sp := range specs {
+	specs := make([]exp.Spec, len(points))
+	for i, sp := range points {
 		arch, cfg, err := sp.Config()
 		if err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, fmt.Sprintf("point %d: %v", i, err)), http.StatusBadRequest)
+			badRequest(w, fmt.Sprintf("point %d: %v", i, err))
 			return
 		}
-		pts[i] = sweepPoint{arch, cfg}
+		specs[i] = exp.Spec{Arch: arch, Cfg: cfg}
 	}
 	st := newStreamer(w, r)
-	// Per-point goroutines contain their own panics below; this catches
-	// the outer sweep path (result assembly, marshal) so those too die as
+	// The executor contains per-point panics; this catches the outer
+	// sweep path (planning, result assembly, marshal) so those too die as
 	// a classified 500 instead of a dropped connection.
 	defer containPanic(st, w, "sweep")
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	st.emit(event{Event: "accepted"})
 
-	// Each point takes its own pool slot: a sweep is N admissions, so a
-	// big sweep cannot starve single-flow clients for its whole duration.
-	type slot struct {
-		body json.RawMessage
-		err  *ErrorBody
-	}
-	out := make([]slot, len(pts))
-	// runPoint executes one sweep point and returns the session the
-	// chain's next point should diff-fork from: the completed leaf, or
-	// prev unchanged on a memo hit, or nil when the point died. When prev
-	// is non-nil the point forks it through the synth-diff path
-	// (core.Flow.ForkSynthDiff) — the child re-synthesizes at its own
-	// target but adopts the neighbor's placement/partition/route/STA
-	// state wherever the diff gates hold, bit-identically — and the
-	// "synthdiff" checkpoint event plus the sweep counters record which
-	// way it went.
-	runPoint := func(i int, prev *core.Flow) (done *core.Flow) {
-		p := pts[i]
-		// Panics in a per-point goroutine would kill the process, not
-		// just a handler — contain them into the point's error slot.
-		defer func() {
-			if r := recover(); r != nil {
-				out[i] = slot{err: newErrorBody(p.cfg.Name, core.NewPanicError(p.cfg.Name, r), nil)}
-				done = nil
-			}
-		}()
-		if err := s.acquire(ctx); err != nil {
-			s.rejected.Add(1)
-			out[i] = slot{err: newErrorBody(p.cfg.Name, err, nil)}
-			return nil
-		}
-		s.accepted.Add(1)
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		defer s.release()
-		if prev != nil {
-			key := exp.MemoKey(p.arch, p.cfg)
-			if body := s.memoGet(key); body != nil {
-				hit := true
-				st.emit(event{Event: "checkpoint", Point: &i, Kind: "memo", Hit: &hit})
-				out[i] = slot{body: body}
-				st.emit(event{Event: "point", Point: &i, Data: body})
-				return prev
-			}
-			if child, dst, err := prev.ForkSynthDiffCtx(ctx, func(c *core.FlowConfig) { *c = p.cfg }); err == nil {
-				if dst.DiffPath {
-					s.diffForks.Add(1)
-				} else {
-					s.diffFallbacks.Add(1)
-				}
-				st.emit(event{Event: "checkpoint", Point: &i, Kind: "synthdiff", Hit: &dst.DiffPath})
-				body, err := s.runLeafTail(ctx, key, child, &i, st.emit)
-				if err != nil {
-					out[i] = slot{err: newErrorBody(p.cfg.Name, err, child)}
-					return nil
-				}
-				out[i] = slot{body: body}
-				st.emit(event{Event: "point", Point: &i, Data: body})
-				return child
-			}
-			// A hard fork failure (race, cancellation) falls through to
-			// the checkpoint-cache path, which classifies its own errors.
-		}
-		body, leaf, err := s.point(ctx, p.arch, p.cfg, &i, st.emit)
-		if err != nil {
-			out[i] = slot{err: newErrorBody(p.cfg.Name, err, leaf)}
-			return nil
-		}
-		if leaf != nil {
-			s.fullSynthForks.Add(1)
-		}
-		out[i] = slot{body: body}
-		st.emit(event{Event: "point", Point: &i, Data: body})
-		return leaf
-	}
-	// Frequency chains run sequentially — each point diff-forks the
-	// nearest completed lower-target neighbor — while distinct chains
-	// (different non-target config axes, or target clusters further apart
-	// than the diff gates plausibly reach) keep fanning out in parallel.
-	var wg sync.WaitGroup
-	for _, chain := range sweepChains(pts) {
-		wg.Add(1)
-		go func(chain []int) {
-			defer wg.Done()
-			var prev *core.Flow
-			for _, i := range chain {
-				prev = runPoint(i, prev)
-			}
-		}(chain)
-	}
-	wg.Wait()
-
+	// Every unit of executor work takes its own pool slot: a sweep is N
+	// admissions, so a big sweep cannot starve single-flow clients for
+	// its whole duration.
+	out := s.run(ctx, specs, func() (func(), error) { return s.admit(ctx) }, st, true)
 	results := make([]json.RawMessage, len(out))
-	for i, sl := range out {
-		if sl.err != nil {
-			b, _ := json.Marshal(struct {
+	for i, o := range out {
+		results[i] = o.body
+		if o.err != nil {
+			results[i], _ = json.Marshal(struct {
 				Error *ErrorBody `json:"error"`
-			}{sl.err})
-			results[i] = b
-			continue
+			}{newErrorBody(specs[i].Cfg.Name, o.err, o.partial)})
 		}
-		results[i] = sl.body
 	}
 	resp, _ := json.Marshal(struct {
 		Results []json.RawMessage `json:"results"`
@@ -637,6 +482,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	st.writeBody(w, resp)
 }
 
+// handleMC samples a variation study off the completed flow of the base
+// spec. The flow runs through the same executor and checkpoint store as
+// /v1/flow, so concurrent MC requests on one design share its prefix; the
+// basis needs the live session (engine + RC), so this never reads the
+// result memo.
 func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 	var req MCRequest
 	if !decodeJSON(w, r, &req) {
@@ -644,158 +494,96 @@ func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 	}
 	arch, cfg, err := req.Base.Config()
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, err.Error()), http.StatusBadRequest)
+		badRequest(w, err.Error())
 		return
 	}
 	st := newStreamer(w, r)
 	defer containPanic(st, w, cfg.Name)
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
-	if err := s.acquire(ctx); err != nil {
-		s.rejected.Add(1)
-		st.httpError(w, admissionStatus(err), newErrorBody(cfg.Name, err, nil))
+	release, err := s.admit(ctx)
+	if err != nil {
+		st.fail(w, cfg.Name, err, nil)
 		return
 	}
-	s.accepted.Add(1)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	defer s.release()
+	defer release()
 	st.emit(event{Event: "accepted"})
 
-	// The MC basis is the completed flow of the base spec — staged
-	// through the same checkpoint path as /v1/flow, so concurrent MC
-	// requests on one design share its prefix. The basis needs the live
-	// session (engine + RC), so this never reads the result memo.
-	sc, pc := exp.ClassKeys(arch, cfg)
-	body, partial, err := s.mcPoint(ctx, arch, cfg, sc, pc, req, st.emit)
+	var leaf *core.Flow
+	plan := exp.PlanSweep([]exp.Spec{{Arch: arch, Cfg: cfg}}, nil)
+	s.execute(ctx, plan, nil, st, false, func(_ int, _ *core.FlowResult, f *core.Flow, e error) {
+		leaf, err = f, e
+	})
 	if err != nil {
-		st.httpError(w, errStatus(err), newErrorBody(cfg.Name, err, partial))
+		st.fail(w, cfg.Name, err, leaf)
 		return
 	}
-	st.writeBody(w, body)
-}
-
-// mcPoint stages the base flow through the checkpoint cache, runs it to
-// completion, and samples the variation study off its basis.
-func (s *Server) mcPoint(ctx context.Context, arch tech.Arch, cfg core.FlowConfig, sc exp.SynthClass, pc exp.PrefixClass, req MCRequest, emit func(event)) (json.RawMessage, *core.Flow, error) {
-	root, _, err := s.cache.getOrBuild(ctx, ckKey{kind: ckSynth, sc: sc}, func() (*core.Flow, error) {
-		f, err := core.NewFlow(s.suite.Netlist(arch), sc.RootConfig())
-		if err != nil {
-			return nil, err
-		}
-		return f, f.RunToCtx(s.baseCtx, core.StageSynth)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	prefix, hit, err := s.cache.getOrBuild(ctx, ckKey{kind: ckPrefix, sc: sc, pc: pc}, func() (*core.Flow, error) {
-		pcfg := pc.Config()
-		f, err := root.Fork(func(c *core.FlowConfig) { *c = pcfg })
-		if err != nil {
-			return nil, err
-		}
-		return f, f.RunToCtx(s.baseCtx, core.StageCTS)
-	})
-	emit(event{Event: "checkpoint", Kind: "prefix", Hit: &hit})
-	if err != nil {
-		return nil, nil, err
-	}
-	leaf, err := prefix.Fork(func(c *core.FlowConfig) { *c = cfg })
-	if err != nil {
-		return nil, nil, err
-	}
-	// Halted sessions stop advancing NextStage — break instead of
-	// spinning; VariationBasis then rejects the invalid flow cleanly.
-	for st := leaf.NextStage(); int(st) < core.NumStages && !leaf.Halted(); st = leaf.NextStage() {
-		t0 := time.Now()
-		if err := leaf.RunToCtx(ctx, st); err != nil {
-			return nil, leaf, err
-		}
-		emit(event{Event: "stage", Stage: st.String(),
-			Ms: float64(time.Since(t0)) / float64(time.Millisecond)})
-	}
+	// A halted base reaches here as a completed session; VariationBasis
+	// rejects the invalid flow cleanly.
 	basis, err := leaf.VariationBasis()
 	if err != nil {
-		return nil, leaf, err
+		st.fail(w, cfg.Name, err, leaf)
+		return
 	}
-	opt := variation.DefaultOptions()
-	if req.Samples > 0 {
-		opt.Samples = req.Samples
-	}
-	if req.Workers > 0 {
-		opt.Workers = req.Workers
-	}
-	if req.Seed != 0 {
-		opt.Seed = req.Seed
-	}
-	if req.SigmaNm > 0 {
-		opt.SigmaNm = req.SigmaNm
-	}
-	if req.FloorFF > 0 {
-		opt.FloorFF = req.FloorFF
-	}
-	sum, err := variation.Study(ctx, basis, opt)
+	sum, err := variation.Study(ctx, basis, req.Options())
 	if err != nil {
-		return nil, leaf, err
+		st.fail(w, cfg.Name, err, leaf)
+		return
 	}
-	body, err := json.Marshal(struct {
+	body, _ := json.Marshal(struct {
 		MC MCSummary `json:"mc"`
 	}{NewMCSummary(sum)})
-	return body, nil, err
+	st.writeBody(w, body)
 }
 
 // handleExp runs one experiment table (?id=fig09) through the embedded
 // exp suite — the batch runner served over HTTP. Tables share the
-// suite's synth-root cache and result memo across requests; /debug/stats
-// republishes those counters.
+// suite's result memo across requests but, like every batch sweep,
+// neither read nor fill the checkpoint store; /debug/stats republishes
+// the suite's counters.
 func (s *Server) handleExp(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	run, ok := s.suite.Experiment(id)
 	if !ok {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, "unknown experiment id "+id), http.StatusBadRequest)
+		badRequest(w, "unknown experiment id "+id)
 		return
 	}
 	defer containPanic(nil, w, id)
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
-	if err := s.acquire(ctx); err != nil {
-		s.rejected.Add(1)
-		(*streamer)(nil).httpError(w, admissionStatus(err), newErrorBody(id, err, nil))
+	release, err := s.admit(ctx)
+	if err != nil {
+		(*streamer)(nil).fail(w, id, err, nil)
 		return
 	}
-	s.accepted.Add(1)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	defer s.release()
+	defer release()
 
 	s.suiteMu.Lock()
 	table, err := run()
 	s.suiteMu.Unlock()
 	if err != nil && table == nil {
-		(*streamer)(nil).httpError(w, errStatus(err), newErrorBody(id, err, nil))
+		(*streamer)(nil).fail(w, id, err, nil)
 		return
+	}
+	var msg string
+	if err != nil {
+		msg = err.Error()
 	}
 	resp, _ := json.Marshal(struct {
 		Table *exp.Table `json:"table"`
 		Err   string     `json:"error,omitempty"`
-	}{table, errString(err)})
+	}{table, msg})
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(resp, '\n'))
 }
 
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
-// Stats is the /debug/stats payload.
+// Stats is the /debug/stats payload. Sweep sums the executor reports of
+// every flow, sweep and MC request; Exp sums the suite's /v1/exp sweeps.
 type Stats struct {
-	Checkpoint ckStats        `json:"checkpoint"`
+	Checkpoint exp.StoreStats `json:"checkpoint"`
 	Memo       memoStats      `json:"memo"`
 	Exp        exp.CacheStats `json:"exp"`
-	Sweep      sweepStats     `json:"sweep"`
+	Sweep      exp.Report     `json:"sweep"`
 	Requests   reqStats       `json:"requests"`
 }
 
@@ -805,14 +593,6 @@ type memoStats struct {
 	Evictions  int64 `json:"evictions"`
 	Entries    int   `json:"entries"`
 	MaxEntries int   `json:"max_entries"`
-}
-
-// sweepStats counts /v1/sweep frequency-chain outcomes. (The exp section
-// next door counts the same split for /v1/exp table sweeps.)
-type sweepStats struct {
-	DiffForks      int64 `json:"diff_forks"`
-	DiffFallbacks  int64 `json:"diff_fallbacks"`
-	FullSynthForks int64 `json:"full_synth_forks"`
 }
 
 type reqStats struct {
@@ -825,19 +605,15 @@ type reqStats struct {
 
 // StatsSnapshot collects every cache and admission counter.
 func (s *Server) StatsSnapshot() Stats {
-	s.memoMu.Lock()
-	memo := memoStats{Hits: s.memoHits, Misses: s.memoMisses,
-		Evictions: s.memoEvictions, Entries: len(s.memo), MaxEntries: s.opt.MemoEntries}
-	s.memoMu.Unlock()
+	s.mu.Lock()
+	memo, sweep := s.memoStats, s.sweep
+	memo.Entries, memo.MaxEntries = len(s.memo), s.opt.MemoEntries
+	s.mu.Unlock()
 	return Stats{
-		Checkpoint: s.cache.stats(),
+		Checkpoint: s.store.Stats(),
 		Memo:       memo,
 		Exp:        s.suite.Stats(),
-		Sweep: sweepStats{
-			DiffForks:      s.diffForks.Load(),
-			DiffFallbacks:  s.diffFallbacks.Load(),
-			FullSynthForks: s.fullSynthForks.Load(),
-		},
+		Sweep:      sweep,
 		Requests: reqStats{
 			Accepted: s.accepted.Load(),
 			Rejected: s.rejected.Load(),

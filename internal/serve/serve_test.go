@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/tech"
 	"repro/internal/variation"
 )
 
@@ -305,10 +304,10 @@ func TestMemoEviction(t *testing.T) {
 }
 
 // TestSweepGoldenAndCheckpointSharing: a 5-point back-pin sweep through
-// the daemon is byte-identical to the offline per-point path, and the
-// points share one synth root and one placed-and-clocked prefix (two
-// cache misses total, every other checkpoint access a hit or a coalesced
-// wait).
+// the daemon is byte-identical to the offline per-point path. The points
+// form one prefix group: its leader builds the synth root and the
+// placed-and-clocked prefix through the store (two misses), and the four
+// siblings fork the completed leader without touching the store.
 func TestSweepGoldenAndCheckpointSharing(t *testing.T) {
 	s := newTestServer(t, Options{Scale: exp.Quick})
 	ts := httptest.NewServer(s.Handler())
@@ -338,8 +337,11 @@ func TestSweepGoldenAndCheckpointSharing(t *testing.T) {
 	if ck.Misses != 2 {
 		t.Fatalf("checkpoint misses = %d, want 2 (one synth root + one prefix): %+v", ck.Misses, ck)
 	}
-	if ck.Hits+ck.Coalesced != 2*int64(len(specs))-2 {
-		t.Fatalf("hits %d + coalesced %d, want %d: %+v", ck.Hits, ck.Coalesced, 2*len(specs)-2, ck)
+	if ck.Hits+ck.Coalesced != 0 {
+		t.Fatalf("hits %d + coalesced %d, want 0 (siblings fork the leader): %+v", ck.Hits, ck.Coalesced, ck)
+	}
+	if st.Sweep.FullSynthForks != 1 {
+		t.Fatalf("full-synth leaders = %d, want 1 (one group leader): %+v", st.Sweep.FullSynthForks, st.Sweep)
 	}
 	if ck.Entries != 2 {
 		t.Fatalf("checkpoint entries = %d, want 2", ck.Entries)
@@ -575,59 +577,6 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestEvictionScoring exercises the cost-aware LRU-tail policy on
-// synthetic entries: the cheapest-to-rebuild-per-byte entry in the tail
-// window goes first, and an entry larger than the whole budget is dropped
-// immediately.
-func TestEvictionScoring(t *testing.T) {
-	mkKey := func(target float64) ckKey {
-		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 4, Back: 4}, target, 0.7)
-		sc, _ := exp.ClassKeys(tech.FFET, cfg)
-		return ckKey{kind: ckSynth, sc: sc}
-	}
-	c := newCkCache(100)
-	add := func(target float64, bytes, costNs int64) *ckEntry {
-		e := &ckEntry{key: mkKey(target), ready: make(chan struct{}), bytes: bytes, costNs: costNs}
-		close(e.ready)
-		c.mu.Lock()
-		c.entries[e.key] = e
-		c.resident += bytes
-		e.elem = c.lru.PushFront(e)
-		c.evictLocked()
-		c.mu.Unlock()
-		return e
-	}
-
-	a := add(1.0, 40, 400) // score 10 ns/byte
-	b := add(1.1, 40, 40)  // score 1 — the designated victim
-	cc := add(1.2, 40, 4000)
-	c.mu.Lock()
-	_, hasA := c.entries[a.key]
-	_, hasB := c.entries[b.key]
-	_, hasC := c.entries[cc.key]
-	resident, evictions := c.resident, c.evictions
-	c.mu.Unlock()
-	if !hasA || hasB || !hasC {
-		t.Fatalf("victim selection wrong: a=%v b=%v c=%v", hasA, hasB, hasC)
-	}
-	if resident != 80 || evictions != 1 {
-		t.Fatalf("resident %d evictions %d, want 80/1", resident, evictions)
-	}
-
-	// An entry bigger than the entire budget cannot be retained.
-	d := add(1.3, 200, 1)
-	c.mu.Lock()
-	_, hasD := c.entries[d.key]
-	resident = c.resident
-	c.mu.Unlock()
-	if hasD {
-		t.Fatal("over-budget entry retained")
-	}
-	if resident > 100 {
-		t.Fatalf("resident %d > budget after over-budget insert", resident)
-	}
-}
-
 // TestAdmissionAndDrain: requests past the queue bound are rejected with
 // 429, a draining server answers 503, and freed slots admit again.
 func TestAdmissionAndDrain(t *testing.T) {
@@ -834,16 +783,51 @@ func checkGoroutines(t *testing.T, base int) {
 
 // TestMCEndpoint: /v1/mc through the daemon matches the offline basis +
 // variation.Study path byte for byte (summaries are worker-count
-// independent by the variation package's contract).
+// independent by the variation package's contract), and a cold MC stream
+// reports the executor's synth-root and prefix builds, in that order.
 func TestMCEndpoint(t *testing.T) {
 	s := newTestServer(t, Options{Scale: exp.Quick})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	req := MCRequest{Base: baseSpec, Samples: 256, Seed: 7}
+	body, _ := json.Marshal(req)
+	resp, err := ts.Client().Post(ts.URL+"/v1/mc?stream=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var checkpoints []string
+	var last event
+	for _, ln := range lines {
+		var ev event
+		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+			t.Fatalf("bad stream event %q: %v", ln, err)
+		}
+		if ev.Event == "checkpoint" {
+			checkpoints = append(checkpoints, ev.Kind)
+		}
+		last = ev
+	}
+	if want := []string{"synth", "prefix"}; strings.Join(checkpoints, ",") != strings.Join(want, ",") {
+		t.Fatalf("cold mc stream checkpoints %v, want %v:\n%s", checkpoints, want, raw)
+	}
+	if last.Event != "done" {
+		t.Fatalf("mc stream ended with %q: %s", last.Event, raw)
+	}
+	streamed := append(last.Data, '\n')
+
 	status, got := post(t, ts, "/v1/mc", req)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, got)
+	}
+	if !bytes.Equal(got, streamed) {
+		t.Fatalf("warm mc body differs from the streamed one:\n got %s\nwant %s", got, streamed)
 	}
 
 	arch, cfg, err := req.Base.Config()
@@ -881,7 +865,7 @@ func TestMCEndpoint(t *testing.T) {
 }
 
 // TestExpEndpoint: /v1/exp serves an experiment table and the stats
-// endpoint republishes the suite's synth-root counters.
+// endpoint republishes the suite's executor counters.
 func TestExpEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment tables are slow; skipped under -short")
