@@ -358,7 +358,6 @@ func (s *Suite) runAll(specs []Spec) ([]*core.FlowResult, error) {
 				out[i] = res
 			}
 		},
-		Scratch: s.DisablePrefixSharing,
 	})
 	s.mu.Lock()
 	s.stats.Report.Add(rep)
@@ -380,7 +379,14 @@ func (s *Suite) maxParallel() int {
 	if s.MaxParallel > 0 {
 		return s.MaxParallel
 	}
-	return min(runtime.GOMAXPROCS(0), 12)
+	n := runtime.GOMAXPROCS(0)
+	if n > 12 {
+		n = 12
+	}
+	if n < 1 {
+		n = 1
+	}
+	return n
 }
 
 // utilSweep returns the utilization grid for max-util experiments.

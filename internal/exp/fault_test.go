@@ -222,3 +222,28 @@ func TestLeafFaultErrorCells(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedPrefixCountsNoHit: when a group's prefix build fails, the
+// dead leader's siblings find the failed node, reuse nothing and share
+// its one error, so the report counts every lookup as a miss and none as
+// a hit.
+func TestFailedPrefixCountsNoHit(t *testing.T) {
+	s := quickSuite(t)
+	deactivate := faultinject.Activate(faultinject.New(3,
+		faultinject.WithRate(1),
+		faultinject.WithKinds(faultinject.Error),
+		faultinject.WithSites("exp.group")))
+	rs, err := s.runAll(faultSpecs()[:3])
+	deactivate()
+	if err == nil {
+		t.Fatal("sweep over a failed prefix reported no error")
+	}
+	for i, r := range rs {
+		if r.Err != rs[0].Err {
+			t.Errorf("point %d error %v, want the prefix's shared %v", i, r.Err, rs[0].Err)
+		}
+	}
+	if st := s.Stats(); st.PrefixHits != 0 || st.PrefixMisses != 3 || st.SynthRootHits+st.SynthRootMisses != 0 {
+		t.Fatalf("report %+v, want 3 prefix misses and nothing else resolved", st.Report)
+	}
+}

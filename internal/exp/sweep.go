@@ -114,8 +114,9 @@ type Report struct {
 	DiffForks      int64 `json:"diff_forks"`
 	DiffFallbacks  int64 `json:"diff_fallbacks"`
 	FullSynthForks int64 `json:"full_synth_forks"`
-	// Synthesis-root and prefix resolutions: a miss built the node (or
-	// failed to), a hit reused it from earlier in the call or the store.
+	// Synthesis-root and prefix resolutions: a hit reused a built node
+	// from earlier in the call or the store; a miss built it, failed to,
+	// or found it failed.
 	SynthRootHits   int64 `json:"synth_root_hits"`
 	SynthRootMisses int64 `json:"synth_root_misses"`
 	PrefixHits      int64 `json:"prefix_hits"`
@@ -163,9 +164,6 @@ type Exec struct {
 	// session as far as it got (nil when none was opened). Scratch points
 	// report no session.
 	Done func(p int, res *core.FlowResult, f *core.Flow, err error)
-	// Scratch runs every point as a from-scratch core.RunFlow: the
-	// unshared reference path.
-	Scratch bool
 }
 
 // Execute runs a plan. Each chain runs its groups in target order. A
@@ -184,6 +182,9 @@ type Exec struct {
 // panic, cancellation) reports its classified error while its siblings
 // and chain successors carry on. A failed node fails every point that
 // needs it with one shared error value.
+//
+// With DisablePrefixSharing set, every point instead runs as an unshared
+// from-scratch core.RunFlow: the reference path.
 func (s *Suite) Execute(plan *Plan, x Exec) Report {
 	e := &executor{s: s, x: x, plan: plan}
 	var wg sync.WaitGroup
@@ -194,7 +195,7 @@ func (s *Suite) Execute(plan *Plan, x Exec) Report {
 			f()
 		}()
 	}
-	if x.Scratch {
+	if s.DisablePrefixSharing {
 		for p := range plan.Points {
 			spawn(func() { e.scratch(p) })
 		}
@@ -355,12 +356,15 @@ func (e *executor) drive(p int, f *core.Flow) (*core.FlowResult, *core.Flow, err
 // point p: a fork of the synthesis root run through StageCTS under the
 // class's neutral config.
 func (e *executor) prefix(p int, pc PrefixClass, pn *node) (*core.Flow, error) {
-	return e.resolve(p, pn, ckKey{prefix: true, pc: pc}, func(ctx context.Context) (*core.Flow, error) {
+	return e.resolve(e.x.Ctx, p, pn, ckKey{prefix: true, pc: pc}, func(ctx context.Context) (*core.Flow, error) {
 		if err := faultinject.Fire("exp.group"); err != nil {
 			return nil, err
 		}
+		// The root is resolved inside the prefix build, so it waits under
+		// the build's context: a stored prefix must not die with the
+		// request that happened to start it.
 		rn, _ := e.roots.LoadOrStore(pc.sk, &node{})
-		root, err := e.resolve(p, rn.(*node), ckKey{pc: PrefixClass{sk: pc.sk}}, func(ctx context.Context) (*core.Flow, error) {
+		root, err := e.resolve(ctx, p, rn.(*node), ckKey{pc: PrefixClass{sk: pc.sk}}, func(ctx context.Context) (*core.Flow, error) {
 			if err := faultinject.Fire("exp.synthroot"); err != nil {
 				return nil, err
 			}
@@ -384,19 +388,23 @@ func (e *executor) prefix(p int, pc PrefixClass, pn *node) (*core.Flow, error) {
 
 // resolve returns node n's session for point p, building it on first use
 // — through the store, under key, when the call has one — and counts and
-// reports the resolution. The first resolution's classified error is the
-// node's for as long as it lives.
-func (e *executor) resolve(p int, n *node, key ckKey, build func(context.Context) (*core.Flow, error)) (*core.Flow, error) {
+// reports the resolution. ctx is what the first resolution waits under:
+// it builds under ctx itself without a store, and waits under it for a
+// pending store build. The first resolution's classified error is the
+// node's for as long as it lives; a later lookup of a failed node reused
+// nothing, so it counts and reports as a miss.
+func (e *executor) resolve(ctx context.Context, p int, n *node, key ckKey, build func(context.Context) (*core.Flow, error)) (*core.Flow, error) {
 	hit := true
 	n.once.Do(func() {
 		if e.x.Store != nil {
-			n.flow, hit, n.err = e.x.Store.getOrBuild(e.x.Ctx, key, build)
+			n.flow, hit, n.err = e.x.Store.getOrBuild(ctx, key, build)
 		} else {
-			n.flow, n.err = runBuild(e.x.Ctx, build)
+			n.flow, n.err = runBuild(ctx, build)
 			hit = false
 		}
 		n.err = core.Classify(e.plan.Points[p].Spec.Cfg.Name, n.err)
 	})
+	hit = hit && n.err == nil
 	kind, c := "synth", &e.rep.SynthRootMisses
 	switch {
 	case key.prefix && hit:

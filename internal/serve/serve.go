@@ -407,6 +407,23 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &spec) {
 		return
 	}
+	s.serveOne(w, r, spec, func(ctx context.Context, st *streamer, sp exp.Spec) ([]byte, *core.Flow, error) {
+		o := s.run(ctx, []exp.Spec{sp}, nil, st, false)[0]
+		if o.err != nil {
+			return nil, o.partial, o.err
+		}
+		resp, _ := json.Marshal(struct {
+			Result json.RawMessage `json:"result"`
+		}{o.body})
+		return resp, nil, nil
+	})
+}
+
+// serveOne answers a single-spec request: it maps spec, admits one unit
+// of work under the request context, streams "accepted", and writes what
+// answer returns — the response body, or an error with the session as
+// far as it got.
+func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, spec FlowSpec, answer func(context.Context, *streamer, exp.Spec) ([]byte, *core.Flow, error)) {
 	arch, cfg, err := spec.Config()
 	if err != nil {
 		badRequest(w, err.Error())
@@ -424,15 +441,12 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	st.emit(event{Event: "accepted"})
 
-	o := s.run(ctx, []exp.Spec{{Arch: arch, Cfg: cfg}}, nil, st, false)[0]
-	if o.err != nil {
-		st.fail(w, cfg.Name, o.err, o.partial)
+	body, partial, err := answer(ctx, st, exp.Spec{Arch: arch, Cfg: cfg})
+	if err != nil {
+		st.fail(w, cfg.Name, err, partial)
 		return
 	}
-	resp, _ := json.Marshal(struct {
-		Result json.RawMessage `json:"result"`
-	}{o.body})
-	st.writeBody(w, resp)
+	st.writeBody(w, body)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -492,48 +506,30 @@ func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	arch, cfg, err := req.Base.Config()
-	if err != nil {
-		badRequest(w, err.Error())
-		return
-	}
-	st := newStreamer(w, r)
-	defer containPanic(st, w, cfg.Name)
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	release, err := s.admit(ctx)
-	if err != nil {
-		st.fail(w, cfg.Name, err, nil)
-		return
-	}
-	defer release()
-	st.emit(event{Event: "accepted"})
-
-	var leaf *core.Flow
-	plan := exp.PlanSweep([]exp.Spec{{Arch: arch, Cfg: cfg}}, nil)
-	s.execute(ctx, plan, nil, st, false, func(_ int, _ *core.FlowResult, f *core.Flow, e error) {
-		leaf, err = f, e
+	s.serveOne(w, r, req.Base, func(ctx context.Context, st *streamer, sp exp.Spec) ([]byte, *core.Flow, error) {
+		var leaf *core.Flow
+		var err error
+		s.execute(ctx, exp.PlanSweep([]exp.Spec{sp}, nil), nil, st, false, func(_ int, _ *core.FlowResult, f *core.Flow, e error) {
+			leaf, err = f, e
+		})
+		if err != nil {
+			return nil, leaf, err
+		}
+		// A halted base reaches here as a completed session;
+		// VariationBasis rejects the invalid flow cleanly.
+		basis, err := leaf.VariationBasis()
+		if err != nil {
+			return nil, leaf, err
+		}
+		sum, err := variation.Study(ctx, basis, req.Options())
+		if err != nil {
+			return nil, leaf, err
+		}
+		body, _ := json.Marshal(struct {
+			MC MCSummary `json:"mc"`
+		}{NewMCSummary(sum)})
+		return body, nil, nil
 	})
-	if err != nil {
-		st.fail(w, cfg.Name, err, leaf)
-		return
-	}
-	// A halted base reaches here as a completed session; VariationBasis
-	// rejects the invalid flow cleanly.
-	basis, err := leaf.VariationBasis()
-	if err != nil {
-		st.fail(w, cfg.Name, err, leaf)
-		return
-	}
-	sum, err := variation.Study(ctx, basis, req.Options())
-	if err != nil {
-		st.fail(w, cfg.Name, err, leaf)
-		return
-	}
-	body, _ := json.Marshal(struct {
-		MC MCSummary `json:"mc"`
-	}{NewMCSummary(sum)})
-	st.writeBody(w, body)
 }
 
 // handleExp runs one experiment table (?id=fig09) through the embedded

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/faultinject"
 	"repro/internal/variation"
 )
 
@@ -760,6 +761,118 @@ func TestCancelDisconnectStress(t *testing.T) {
 	ts.Close()
 	s.Close()
 	checkGoroutines(t, base)
+}
+
+// TestCancelledPrefixBuilderKeepsStoreWarm: a prefix build that waits on
+// another request's pending synth root keeps waiting when its own client
+// vanishes, so a live client coalesced on that prefix still gets its
+// result and the prefix stays stored. Request C builds the root of one
+// synthesis class, held at the exp.synthroot site; request A, of another
+// prefix class with the same synthesis class, starts that prefix's build
+// and coalesces onto C's root; request B coalesces onto A's prefix; then
+// A's client disconnects.
+func TestCancelledPrefixBuilderKeepsStoreWarm(t *testing.T) {
+	s := newTestServer(t, Options{Scale: exp.Quick, MaxWorkers: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	entered, held := make(chan struct{}), make(chan struct{})
+	var hold, unhold sync.Once
+	unblock := func() { unhold.Do(func() { close(held) }) }
+	defer unblock() // before ts.Close, which waits for the handlers
+	defer faultinject.Activate(faultinject.New(1,
+		faultinject.WithSites("exp.synthroot"), faultinject.WithRate(1),
+		faultinject.WithKinds(faultinject.Cancel),
+		faultinject.WithCancelFunc(func() {
+			hold.Do(func() {
+				close(entered)
+				<-held
+			})
+		})))()
+
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	send := func(ctx context.Context, sp FlowSpec) chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			body, _ := json.Marshal(sp)
+			req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/flow", bytes.NewReader(body))
+			if err != nil {
+				ch <- reply{err: err}
+				return
+			}
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				ch <- reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			got, err := io.ReadAll(resp.Body)
+			ch <- reply{resp.StatusCode, got, err}
+		}()
+		return ch
+	}
+	await := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Minute); !ok(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, getStats(t, ts).Checkpoint)
+			}
+		}
+	}
+	coalesced := func(n int64) func() bool {
+		return func() bool { return getStats(t, ts).Checkpoint.Coalesced >= n }
+	}
+
+	cSpec, aSpec, bSpec := baseSpec, baseSpec, baseSpec
+	cSpec.Util = 0.76
+	bSpec.BackPins = 0.6
+	cDone := send(context.Background(), cSpec)
+	await("the held root build", func() bool {
+		select {
+		case <-entered:
+			return true
+		default:
+			return false
+		}
+	})
+	aCtx, aCancel := context.WithCancel(context.Background())
+	defer aCancel()
+	aDone := send(aCtx, aSpec)
+	await("A to wait on C's root", coalesced(1))
+	bDone := send(context.Background(), bSpec)
+	await("B to wait on A's prefix", coalesced(2))
+
+	aCancel()
+	if r := <-aDone; r.err == nil {
+		t.Fatalf("cancelled client got a response: %d %s", r.status, r.body)
+	}
+	select {
+	case r := <-bDone:
+		t.Fatalf("live client answered while the root was still held: %d %s", r.status, r.body)
+	case <-time.After(300 * time.Millisecond):
+	}
+	unblock()
+
+	for _, c := range []struct {
+		sp   FlowSpec
+		done chan reply
+	}{{bSpec, bDone}, {cSpec, cDone}} {
+		r := <-c.done
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if want := wrapResult(t, offlineBody(t, s, c.sp)); r.status != http.StatusOK || !bytes.Equal(r.body, want) {
+			t.Fatalf("status %d\n got %s\nwant %s", r.status, r.body, want)
+		}
+	}
+	// Root, C's prefix and A's prefix: the vanished client's build finished.
+	if ck := getStats(t, ts).Checkpoint; ck.Misses != 3 || ck.Entries != 3 {
+		t.Fatalf("checkpoint misses %d, entries %d, want 3 and 3: %+v", ck.Misses, ck.Entries, ck)
+	}
 }
 
 // checkGoroutines waits for the goroutine count to settle back near base.
