@@ -276,7 +276,7 @@ func BenchmarkSweepIncrementalSTA(b *testing.B) {
 // point through the whole pipeline once and walks to each neighboring
 // target via core.Flow.ForkSynthDiff — the hop re-synthesizes at its own
 // target (the unavoidable cost), then re-stamps the neighbor's placement
-// and adopts its partition/route/DEF/STA state wherever the netlist diff
+// and adopts its partition/route/STA state wherever the netlist diff
 // gates hold; "forkAtSynth" forks every later point off the first
 // completed session at StageSynth, re-running the entire back end per
 // point (the pre-diff sweep shape). Results are bit-identical between

@@ -6,6 +6,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -13,6 +14,7 @@ import (
 	"syscall"
 
 	"repro/internal/cell"
+	"repro/internal/cliutil"
 	"repro/internal/lef"
 	"repro/internal/tech"
 )
@@ -70,22 +72,16 @@ func main() {
 			if lib.Arch == tech.CFET {
 				name = "cfet"
 			}
-			libF, err := os.Create(filepath.Join(*outDir, name+".lib"))
-			if err != nil {
+			if err := cliutil.WriteFile(filepath.Join(*outDir, name+".lib"), func(w io.Writer) error {
+				return cell.WriteLiberty(w, lib)
+			}); err != nil {
 				log.Fatal(err)
 			}
-			if err := cell.WriteLiberty(libF, lib); err != nil {
+			if err := cliutil.WriteFile(filepath.Join(*outDir, name+".lef"), func(w io.Writer) error {
+				return lef.Write(w, lib, lef.SideConfig{})
+			}); err != nil {
 				log.Fatal(err)
 			}
-			libF.Close()
-			lefF, err := os.Create(filepath.Join(*outDir, name+".lef"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := lef.Write(lefF, lib, lef.SideConfig{}); err != nil {
-				log.Fatal(err)
-			}
-			lefF.Close()
 			fmt.Printf("wrote %s/%s.{lib,lef}\n", *outDir, name)
 		}
 	}

@@ -1,6 +1,7 @@
 // Command ffetflow runs one full physical implementation + PPA flow on the
 // generated RISC-V core through the staged pipeline, printing per-stage
-// progress and the result summary.
+// progress and the result summary. With -def it also writes the routed
+// layout: the front, back and merged DEF files.
 package main
 
 import (
@@ -8,11 +9,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/cell"
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/def"
 	"repro/internal/riscv"
 	"repro/internal/tech"
 )
@@ -26,6 +29,7 @@ func main() {
 	backPins := flag.Float64("backpins", 0, "backside input pin density ratio")
 	regs := flag.Int("regs", 32, "architectural registers (8/16/32)")
 	quiet := flag.Bool("quiet", false, "suppress per-stage progress lines")
+	defDir := flag.String("def", "", "write <design>_{front,back,merged}.def here after the run")
 	flag.Parse()
 
 	st := tech.NewFFET()
@@ -92,4 +96,32 @@ func main() {
 		fmt.Printf("power: sw=%.1f int=%.1f clk=%.1f leak=%.2f uW\n",
 			res.Power.SwitchingUW, res.Power.InternalUW, res.Power.ClockUW, res.Power.LeakageUW)
 	}
+	if *defDir != "" {
+		if err := writeDEFs(f, *defDir, nl.Name); err != nil {
+			fmt.Fprintf(os.Stderr, "ffetflow: -def: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("wrote %s/%s_{front,back,merged}.def\n", *defDir, nl.Name)
+	}
+}
+
+// writeDEFs renders the session's routed layout and writes one file per
+// view into dir: <name>_front.def, <name>_back.def and <name>_merged.def.
+func writeDEFs(f *core.Flow, dir, name string) error {
+	front, back, merged, err := f.DEF()
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, v := range []struct {
+		kind string
+		d    *def.Design
+	}{{"front", front}, {"back", back}, {"merged", merged}} {
+		if err := cliutil.WriteFile(filepath.Join(dir, name+"_"+v.kind+".def"), v.d.Write); err != nil {
+			return err
+		}
+	}
+	return nil
 }

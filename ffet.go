@@ -10,9 +10,10 @@
 //   - the gate-level RV32I benchmark core generator with ISS co-simulation;
 //   - the full physical flow (Fig. 7): synthesis sizing, floorplan, BSPDN
 //     power planning with Power Tap Cells, placement, CTS, the Algorithm 1
-//     dual-sided netlist partition and per-side routing, DEF merge,
-//     dual-sided RC extraction, STA and power analysis — as a one-shot
-//     RunFlow or as a checkpointable staged Flow session;
+//     dual-sided netlist partition and per-side routing, dual-sided RC
+//     extraction, STA and power analysis — as a one-shot RunFlow or as a
+//     checkpointable staged Flow session, whose DEF method renders the
+//     per-side and merged DEF views of a routed layout on demand;
 //   - the experiment suite reproducing every table and figure of the
 //     paper's evaluation, with sweep points forked off shared flow
 //     prefixes.
@@ -119,7 +120,6 @@ const (
 	StageCTS       = core.StageCTS
 	StagePartition = core.StagePartition
 	StageRoute     = core.StageRoute
-	StageDEF       = core.StageDEF
 	StageExtract   = core.StageExtract
 	StageSTA       = core.StageSTA
 	StagePower     = core.StagePower
@@ -150,7 +150,8 @@ func NewFlowConfig(p Pattern, targetGHz, util float64) FlowConfig {
 	return core.DefaultFlowConfig(p, targetGHz, util)
 }
 
-// RunFlow executes the full physical implementation + PPA flow.
+// RunFlow executes the full physical implementation + PPA flow. It
+// renders no DEF; open a Flow and call its DEF method for the layout.
 func RunFlow(nl *Netlist, cfg FlowConfig) (*FlowResult, error) {
 	return core.RunFlow(nl, cfg)
 }

@@ -3,6 +3,8 @@
 // report an interrupted flow prints, and the classified-failure exit
 // path. Extracted from the four CLIs (ffetflow, ffetexp, ffetmc,
 // ffetcal), and used by the ffetd daemon for the same drain semantics.
+// It also holds WriteFile, the checked artifact writer of ffetflow -def
+// and cellgen -out.
 package cliutil
 
 import (
@@ -52,4 +54,19 @@ func Fail(tool string, err error) {
 	}
 	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 	os.Exit(1)
+}
+
+// WriteFile creates path and fills it with write, returning the first of
+// the create, write and close errors, so a failed final flush is not
+// lost.
+func WriteFile(path string, write func(io.Writer) error) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(out); err != nil {
+		out.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return out.Close()
 }

@@ -3,76 +3,28 @@ package core
 import (
 	"testing"
 
-	"repro/internal/floorplan"
-	"repro/internal/geom"
-	"repro/internal/netlist"
-	"repro/internal/place"
-	"repro/internal/powerplan"
-	"repro/internal/route"
-	"repro/internal/synth"
 	"repro/internal/tech"
 )
 
-// BenchmarkBuildDEF measures rendering both per-side physical databases
-// from a routed quick-scale design — the DEF serialization boundary
-// where pin names are now resolved from packed PinIDs instead of being
-// split out of "inst/pin" strings. The flow prefix (synthesis, floorplan,
-// powerplan, placement, partition, routing) runs once outside the loop.
+// BenchmarkBuildDEF measures Flow.DEF on a routed quick-scale design:
+// rendering both per-side physical databases (pin names resolved from
+// packed PinIDs at this serialization boundary) and merging them. The
+// flow runs to StageRoute once outside the loop.
 func BenchmarkBuildDEF(b *testing.B) {
-	nl := smallCore(b, ffetLib)
 	cfg := DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.72)
 	cfg.BackPinFraction = 0.5
-	st := ffetLib.Stack
-
-	syn, err := synth.Run(nl, synth.DefaultOptions(cfg.TargetFreqGHz))
+	f, err := NewFlow(smallCore(b, ffetLib), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	work := syn.Netlist
-	fp, err := floorplan.New(st, int64(float64(work.CellAreaNm2())*1.025), cfg.Utilization, cfg.AspectRatio)
-	if err != nil {
+	if err := f.RunTo(StageRoute); err != nil {
 		b.Fatal(err)
 	}
-	pp, err := powerplan.Plan(fp, cfg.Pattern)
-	if err != nil {
-		b.Fatal(err)
-	}
-	popt := place.DefaultOptions()
-	popt.Seed = cfg.Seed
-	place.Global(work, fp, popt)
-	if err := place.Legalize(work, fp, pp.Blockages); err != nil {
-		b.Fatal(err)
-	}
-	place.Refine(work, fp, pp.Blockages, 3)
-
-	pa, err := AssignPins(ffetLib, cfg.BackPinFraction, cfg.Seed, work)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pinAt := func(ref netlist.PinRef) geom.Point { return pinLocation(ref, fp) }
-	sides, err := Partition(work, pa, cfg.Pattern, pinAt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ropt := route.DefaultOptions()
-	runSide := func(side tech.Side, nets []*route.Net) *route.Result {
-		r, err := route.NewRouter(fp.Core, side, st.SideRoutingLayers(cfg.Pattern, side), ropt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := r.Run(nets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	frontRes := runSide(tech.Front, sides.Front)
-	backRes := runSide(tech.Back, sides.Back)
-
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = buildDEF(work, fp, pp, frontRes, tech.Front, cfg, nil)
-		_ = buildDEF(work, fp, pp, backRes, tech.Back, cfg, nil)
+		if _, _, _, err := f.DEF(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -150,10 +150,8 @@ func TestRunFlowFFETDualSided(t *testing.T) {
 	nl := smallCore(t, ffetLib)
 	cfg := DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
 	cfg.BackPinFraction = 0.5
-	res, err := RunFlow(nl, cfg)
-	if err != nil {
-		t.Fatalf("RunFlow: %v", err)
-	}
+	f := scratchRun(t, nl, cfg)
+	res := f.Result()
 	if res.AchievedFreqGHz <= 0 || res.PowerUW <= 0 {
 		t.Fatalf("missing PPA: freq=%v power=%v", res.AchievedFreqGHz, res.PowerUW)
 	}
@@ -163,11 +161,12 @@ func TestRunFlowFFETDualSided(t *testing.T) {
 	if res.WirelenBackUm == 0 {
 		t.Error("dual-sided run has no backside wirelength")
 	}
-	if res.FrontDEF == nil || res.BackDEF == nil || res.MergedDEF == nil {
-		t.Fatal("missing DEF artifacts")
+	_, _, merged, err := f.DEF()
+	if err != nil {
+		t.Fatalf("DEF: %v", err)
 	}
 	// Merged DEF must contain wires from both sides.
-	wl := res.MergedDEF.WirelengthByLayerNm()
+	wl := merged.WirelengthByLayerNm()
 	var front, back bool
 	for layer := range wl {
 		if strings.HasPrefix(layer, "FM") {
@@ -182,14 +181,14 @@ func TestRunFlowFFETDualSided(t *testing.T) {
 	}
 	// The merged DEF must serialize and re-parse.
 	var buf bytes.Buffer
-	if err := res.MergedDEF.Write(&buf); err != nil {
+	if err := merged.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := def.Parse(&buf)
 	if err != nil {
 		t.Fatalf("merged DEF does not re-parse: %v", err)
 	}
-	if parsed.TotalWirelengthNm() != res.MergedDEF.TotalWirelengthNm() {
+	if parsed.TotalWirelengthNm() != merged.TotalWirelengthNm() {
 		t.Error("merged DEF wirelength changed through serialization")
 	}
 }

@@ -28,7 +28,7 @@ var (
 	ErrStagePanic = errors.New("core: stage panicked")
 
 	// ErrStageFailed reports an organic stage failure that fits no more
-	// specific class (synthesis, partition, routing, DEF or STA errors).
+	// specific class (synthesis, partition, routing or STA errors).
 	ErrStageFailed = errors.New("core: stage failed")
 
 	// ErrSessionDead reports a call on a session a previous hard error

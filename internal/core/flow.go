@@ -109,6 +109,7 @@ type FlowResult struct {
 	CTSBuffers      int
 	SynthBuffers    int
 	Rerouted        int
+	PowerStripes    int // BSPDN stripes (VDD and VSS) the powerplan laid out
 
 	// PPA.
 	AchievedFreqGHz float64
@@ -124,13 +125,11 @@ type FlowResult struct {
 	// field here.
 	StageTimes [NumStages]time.Duration
 
-	// Artifacts.
-	FrontDEF  *def.Design
-	BackDEF   *def.Design
-	MergedDEF *def.Design
-	STA       *sta.Result
-	Power     *power.Result
-	PinStats  PartitionStats
+	// Artifacts. The routed layout is not among them: Flow.DEF renders
+	// it on demand from the session.
+	STA      *sta.Result
+	Power    *power.Result
+	PinStats PartitionStats
 }
 
 // DRVs returns the total violation count.
@@ -139,7 +138,10 @@ func (r *FlowResult) DRVs() int { return r.DRVsFront + r.DRVsBack }
 // RunFlow executes the full Fig. 7 framework over a technology-mapped
 // netlist: synthesis sizing -> floorplan -> powerplan (BSPDN + Power Tap
 // Cells) -> placement -> CTS -> Algorithm 1 partition -> dual-sided
-// routing -> DEF merge -> dual-sided RC extraction -> STA -> power.
+// routing -> dual-sided RC extraction -> STA -> power. Extraction reads
+// the routed trees directly; the per-side and merged DEF views of the
+// layout are rendered on demand by Flow.DEF, so a one-shot run builds
+// none.
 //
 // It is a thin facade over the staged pipeline: NewFlow(nl, cfg).Run()
 // with checkpointing disabled (a one-shot run forks nothing, so it skips
@@ -181,12 +183,35 @@ func pinLocation(ref netlist.PinRef, fp *floorplan.Plan) geom.Point {
 	)
 }
 
+// DEF renders the session's routed layout: one DEF database per wafer
+// side (the paper's "two separate DEF files") and their merge. Nothing is
+// cached; every call renders anew from the routed state, which no stage
+// mutates once StageRoute completes, so concurrent calls on one session
+// or on forks sharing its checkpoint are safe. Treat the returned
+// databases as read-only: their tap-cell components are the session's.
+// A session that has not completed StageRoute, including one halted
+// before routing, has no layout and gets an error.
+func (f *Flow) DEF() (front, back, merged *def.Design, err error) {
+	f.mu.Lock()
+	next, halted := f.next, f.halted
+	f.mu.Unlock()
+	if halted {
+		return nil, nil, nil, fmt.Errorf("core: no routed layout: the run halted before %v", StageRoute)
+	}
+	if next <= StageRoute {
+		return nil, nil, nil, fmt.Errorf("core: no routed layout: %v has not run", StageRoute)
+	}
+	front = buildDEF(f.work, f.fp, f.pp, f.frontRes, tech.Front)
+	back = buildDEF(f.work, f.fp, f.pp, f.backRes, tech.Back)
+	merged, err = def.Merge(f.work.Name, front, back)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: merge DEF: %w", err)
+	}
+	return front, back, merged, nil
+}
+
 // buildDEF renders one side's physical database.
-// buildDEF renders one side's physical database. adoptNets, when non-nil,
-// is a previously rendered nets section proven bit-identical to what this
-// call would rebuild (a synth-diff fork that adopted the side's routed
-// result); it is shared instead of re-rendered.
-func buildDEF(nl *netlist.Netlist, fp *floorplan.Plan, pp *powerplan.Result, rr *route.Result, side tech.Side, cfg FlowConfig, adoptNets []*def.Net) *def.Design {
+func buildDEF(nl *netlist.Netlist, fp *floorplan.Plan, pp *powerplan.Result, rr *route.Result, side tech.Side) *def.Design {
 	d := def.New(nl.Name + "_" + sideSuffix(side))
 	d.Die = fp.Core
 	d.Rows = make([]def.Row, 0, len(fp.Rows))
@@ -202,8 +227,8 @@ func buildDEF(nl *netlist.Netlist, fp *floorplan.Plan, pp *powerplan.Result, rr 
 		})
 	}
 	// Components, pins and nets are bulk-allocated (one arena per kind,
-	// pointers into it): a DEF view is rebuilt per side per flow, and
-	// per-object allocation here dominated the whole flow's alloc count.
+	// pointers into it): a DEF view is rebuilt per side on every render,
+	// and per-object allocation here dominated its alloc count.
 	compArena := make([]def.Component, len(nl.Instances))
 	for i, inst := range nl.Instances {
 		compArena[i] = def.Component{
@@ -235,9 +260,7 @@ func buildDEF(nl *netlist.Netlist, fp *floorplan.Plan, pp *powerplan.Result, rr 
 	for _, c := range pp.TapComponents() {
 		d.AddComponent(c)
 	}
-	if rr != nil && adoptNets != nil {
-		d.Nets = adoptNets
-	} else if rr != nil {
+	if rr != nil {
 		// Trees is net-Seq indexed; nets without a sub-net on this side
 		// are nil slots. Pre-count so every per-net slice comes out of a
 		// shared arena (capacity-capped, so stray appends reallocate

@@ -13,7 +13,7 @@ import (
 // as its checkpoint: the working netlist and its stage-boundary
 // snapshots, the floorplan/powerplan/CTS/partition/routing/extraction
 // artifacts, the incremental STA engine with its RC baseline, the
-// retained placement bases, and the DEF artifacts on the result.
+// retained placement bases, and the result.
 //
 // The estimate is an accounting sum for cache budgeting (allocator slack
 // and map overhead approximated), deterministic for a quiescent session.
@@ -63,9 +63,6 @@ func (f *Flow) FootprintBytes() int64 {
 
 	if f.res != nil {
 		b += int64(unsafe.Sizeof(*f.res))
-		b += f.res.FrontDEF.FootprintBytes()
-		b += f.res.BackDEF.FootprintBytes()
-		b += f.res.MergedDEF.FootprintBytes()
 	}
 	return b
 }

@@ -11,12 +11,11 @@
 // legalization/refinement bases (with resized cells re-probed as moved),
 // the partition's dense sink tables (changed nets recomputed), the routed
 // trees (adopted whole when every pin gcell and the negotiation order are
-// provably unchanged), the DEF nets sections, and the timing engine
-// (re-stamped over the child's instances, re-propagating only dirtied
-// cones). Every gate failure falls back to the normal stage body, so a
-// diff fork is bit-identical to a from-scratch fork by construction —
-// core.TestSynthDiffForkMatchesScratch holds both paths to the same
-// artifacts byte for byte.
+// provably unchanged), and the timing engine (re-stamped over the child's
+// instances, re-propagating only dirtied cones). Every gate failure falls
+// back to the normal stage body, so a diff fork is bit-identical to a
+// from-scratch fork by construction — core.TestSynthDiffForkMatchesScratch
+// holds both paths to the same artifacts byte for byte.
 package core
 
 import (
@@ -26,7 +25,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/def"
 	"repro/internal/faultinject"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
@@ -61,7 +59,6 @@ type SynthDiffStats struct {
 	PartitionPatched  bool
 	RouteAdoptedFront bool
 	RouteAdoptedBack  bool
-	DEFNetsShared     int // sides whose DEF nets section was shared
 	STARestamped      bool
 }
 
@@ -78,8 +75,6 @@ type synthDiffState struct {
 	sides      *SideNets
 	frontRes   *route.Result
 	backRes    *route.Result
-	frontDEF   *def.Design
-	backDEF    *def.Design
 	eng        *sta.Engine // parent's engine; re-stamped at StageSTA
 
 	stats *SynthDiffStats
@@ -96,8 +91,8 @@ func (f *Flow) ForkSynthDiff(mutate func(*FlowConfig)) (*Flow, *SynthDiffStats, 
 // floorplan and powerplan, and — when the child's netlist is a bounded
 // pure resize of the parent's and the floorplans coincide — re-stamps the
 // parent's placement instead of re-placing, leaving the child positioned
-// at StageCTS with the parent's partition/routing/DEF/STA state staged
-// for adoption. Callers then Run the child normally.
+// at StageCTS with the parent's partition/routing/STA state staged for
+// adoption. Callers then Run the child normally.
 //
 // The returned stats say which path was taken. On any gate failure the
 // child is still returned, healthy, and simply continues as a full
@@ -193,8 +188,6 @@ func (f *Flow) ForkSynthDiffCtx(ctx context.Context, mutate func(*FlowConfig)) (
 		sides:       f.sides,
 		frontRes:    f.frontRes,
 		backRes:     f.backRes,
-		frontDEF:    f.res.FrontDEF,
-		backDEF:     f.res.BackDEF,
 		eng:         f.staEng,
 		stats:       st,
 	}

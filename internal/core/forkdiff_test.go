@@ -52,15 +52,13 @@ func diffVsScratch(t *testing.T, parent *Flow, mutate func(*FlowConfig)) (*Flow,
 	// The scratch arm re-runs the full pipeline from StageSynth with no
 	// inherited placement/partition/route/STA state.
 	scratch.SetIncrementalPlacement(false)
-	dres, err := diffChild.Run()
-	if err != nil {
+	if _, err := diffChild.Run(); err != nil {
 		t.Fatalf("diff child run: %v", err)
 	}
-	sres, err := scratch.Run()
-	if err != nil {
+	if _, err := scratch.Run(); err != nil {
 		t.Fatalf("scratch child run: %v", err)
 	}
-	da, sa := flowArtifact(t, dres), flowArtifact(t, sres)
+	da, sa := flowArtifact(t, diffChild), flowArtifact(t, scratch)
 	if da != sa {
 		t.Errorf("diff fork diverged from scratch fork (stats %+v)\n--- diff\n%s--- scratch\n%s", st, da, sa)
 	}
@@ -83,8 +81,7 @@ func TestSynthDiffForkMatchesScratch(t *testing.T) {
 		if !st.DiffPath || st.Resized != 0 {
 			t.Errorf("want resize-free diff path, got %+v", st)
 		}
-		if !st.PartitionPatched || !st.RouteAdoptedFront || !st.RouteAdoptedBack ||
-			st.DEFNetsShared != 2 || !st.STARestamped {
+		if !st.PartitionPatched || !st.RouteAdoptedFront || !st.RouteAdoptedBack || !st.STARestamped {
 			t.Errorf("resize-free diff should adopt everything: %+v", st)
 		}
 	})
@@ -185,7 +182,7 @@ func TestSynthDiffForkFaultFallback(t *testing.T) {
 			}
 		}},
 		{"core.route.adopt", func(t *testing.T, st *SynthDiffStats) {
-			if !st.DiffPath || st.RouteAdoptedFront || st.RouteAdoptedBack || st.DEFNetsShared != 0 {
+			if !st.DiffPath || st.RouteAdoptedFront || st.RouteAdoptedBack {
 				t.Errorf("route fault must re-route both sides: %+v", st)
 			}
 		}},
@@ -217,7 +214,7 @@ func TestSynthDiffForkConcurrent(t *testing.T) {
 	parent := completedFlow(t, cfg, "small")
 
 	targets := []float64{2.0005, 2.001, 2.005, 2.01}
-	arts := make([]string, len(targets))
+	children := make([]*Flow, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, tgt := range targets {
@@ -233,12 +230,11 @@ func TestSynthDiffForkConcurrent(t *testing.T) {
 				errs[i] = fmt.Errorf("tgt %v fell back: %q", tgt, st.Fallback)
 				return
 			}
-			res, err := child.Run()
-			if err != nil {
+			if _, err := child.Run(); err != nil {
 				errs[i] = err
 				return
 			}
-			arts[i] = flowArtifact(t, res)
+			children[i] = child
 		}()
 	}
 	wg.Wait()
@@ -253,11 +249,10 @@ func TestSynthDiffForkConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		scratch.SetIncrementalPlacement(false)
-		res, err := scratch.Run()
-		if err != nil {
+		if _, err := scratch.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if sa := flowArtifact(t, res); sa != arts[i] {
+		if sa := flowArtifact(t, scratch); sa != flowArtifact(t, children[i]) {
 			t.Errorf("tgt %v: concurrent diff fork diverged from scratch", tgt)
 		}
 	}

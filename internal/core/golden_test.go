@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/def"
+	"repro/internal/netlist"
 	"repro/internal/tech"
 )
 
@@ -38,12 +39,13 @@ var goldenConfigs = []struct {
 	{"ffet_fm8bm4_bp16", tech.FFET, tech.Pattern{Front: 8, Back: 4}, 0.16, 2.0, 0.68, 3},
 }
 
-// flowArtifact renders the run's complete observable outcome: every
-// FlowResult metric at full float precision plus the SHA-256 of the
-// front, back and merged DEF texts (the DEFs themselves are too large to
-// commit per config; the hash pins them byte-for-byte).
-func flowArtifact(t *testing.T, res *FlowResult) string {
+// flowArtifact renders a finished session's complete observable outcome:
+// every FlowResult metric at full float precision plus the SHA-256 of the
+// front, back and merged DEF texts Flow.DEF renders (the DEFs themselves
+// are too large to commit per config; the hash pins them byte-for-byte).
+func flowArtifact(t *testing.T, f *Flow) string {
 	t.Helper()
+	res := f.Result()
 	var b strings.Builder
 	g := func(k string, v float64) { fmt.Fprintf(&b, "%s %.17g\n", k, v) }
 	d := func(k string, v int) { fmt.Fprintf(&b, "%s %d\n", k, v) }
@@ -69,10 +71,17 @@ func flowArtifact(t *testing.T, res *FlowResult) string {
 	fmt.Fprintf(&b, "pin_stats %d %d %d %d\n",
 		res.PinStats.FrontNets, res.PinStats.BackNets,
 		res.PinStats.FrontPins, res.PinStats.BackPins)
+	var front, back, merged *def.Design
+	if f.NextStage() > StageRoute {
+		var err error
+		if front, back, merged, err = f.DEF(); err != nil {
+			t.Fatalf("render DEF: %v", err)
+		}
+	}
 	hash := func(k string, dd *def.Design) {
 		if dd == nil {
-			// Halted runs carry no DEF artifacts; keep the row so
-			// partial results stay comparable.
+			// Runs halted before routing have no layout; keep the row
+			// so partial results stay comparable.
 			fmt.Fprintf(&b, "%s_def nil\n", k)
 			return
 		}
@@ -83,14 +92,30 @@ func flowArtifact(t *testing.T, res *FlowResult) string {
 		fmt.Fprintf(&b, "%s_def sha256:%x bytes:%d wirelen_nm:%d\n",
 			k, sha256.Sum256(buf.Bytes()), buf.Len(), dd.TotalWirelengthNm())
 	}
-	hash("front", res.FrontDEF)
-	hash("back", res.BackDEF)
-	hash("merged", res.MergedDEF)
+	hash("front", front)
+	hash("back", back)
+	hash("merged", merged)
 	return b.String()
 }
 
-// TestFlowGolden locks the flow's emitted DEF text and every FlowResult
-// metric to artifacts captured before the string-free PinID refactor.
+// scratchRun runs cfg the way RunFlow does (a one-shot session that keeps
+// no fork checkpoints) and returns the finished session, so tests can
+// render its layout.
+func scratchRun(t *testing.T, nl *netlist.Netlist, cfg FlowConfig) *Flow {
+	t.Helper()
+	f, err := newFlow(nl, cfg, false)
+	if err != nil {
+		t.Fatalf("newFlow: %v", err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return f
+}
+
+// TestFlowGolden locks the DEF text Flow.DEF renders for a one-shot run
+// and every FlowResult metric to artifacts captured before the
+// string-free PinID refactor.
 // Any byte of drift in the front/back/merged DEF or any metric ULP is a
 // failure: the pin-identity representation must not be observable.
 func TestFlowGolden(t *testing.T) {
@@ -104,11 +129,7 @@ func TestFlowGolden(t *testing.T) {
 			cfg := DefaultFlowConfig(gc.pattern, gc.tgt, gc.util)
 			cfg.BackPinFraction = gc.bp
 			cfg.Seed = gc.seed
-			res, err := RunFlow(nl, cfg)
-			if err != nil {
-				t.Fatalf("RunFlow: %v", err)
-			}
-			got := flowArtifact(t, res)
+			got := flowArtifact(t, scratchRun(t, nl, cfg))
 			path := filepath.Join("testdata", "golden_"+gc.name+".txt")
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -135,14 +156,14 @@ func TestFrontBackDEFGoldenText(t *testing.T) {
 	cfg := DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.72)
 	cfg.BackPinFraction = 0.5
 	cfg.Seed = 4
-	res, err := RunFlow(nl, cfg)
+	front, back, _, err := scratchRun(t, nl, cfg).DEF()
 	if err != nil {
-		t.Fatalf("RunFlow: %v", err)
+		t.Fatal(err)
 	}
 	for _, side := range []struct {
 		name string
 		d    *def.Design
-	}{{"front", res.FrontDEF}, {"back", res.BackDEF}} {
+	}{{"front", front}, {"back", back}} {
 		var buf bytes.Buffer
 		if err := side.d.Write(&buf); err != nil {
 			t.Fatal(err)

@@ -44,8 +44,7 @@ func TestFlowForkIncrementalPlacement(t *testing.T) {
 		if child.placeBasis != parent.placeBasis || child.refineBasis != parent.refineBasis {
 			t.Fatal("StageCTS fork must share the parent's placement bases")
 		}
-		got, err := child.Run()
-		if err != nil {
+		if _, err := child.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if child.placeDeltaHits != 1 {
@@ -59,14 +58,13 @@ func TestFlowForkIncrementalPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 		scratch.SetIncrementalPlacement(false)
-		want, err := scratch.Run()
-		if err != nil {
+		if _, err := scratch.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if scratch.placeBasis != nil || scratch.placeDeltaHits != 0 {
 			t.Fatal("SetIncrementalPlacement(false) must force the full replay path")
 		}
-		if ga, wa := flowArtifact(t, got), flowArtifact(t, want); ga != wa {
+		if ga, wa := flowArtifact(t, child), flowArtifact(t, scratch); ga != wa {
 			t.Errorf("fanout %d: incremental fork differs from full-path scratch run:\n--- scratch\n%s--- forked\n%s",
 				mf, wa, ga)
 		}
@@ -129,11 +127,10 @@ func TestFlowForkConcurrentIncrementalPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 		scratch.SetIncrementalPlacement(false)
-		want, err := scratch.Run()
-		if err != nil {
+		if _, err := scratch.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if ga, wa := flowArtifact(t, children[i].Result()), flowArtifact(t, want); ga != wa {
+		if ga, wa := flowArtifact(t, children[i]), flowArtifact(t, scratch); ga != wa {
 			t.Errorf("fanout %d: concurrent incremental fork differs from scratch:\n--- scratch\n%s--- forked\n%s",
 				mf, wa, ga)
 		}

@@ -171,8 +171,7 @@ func TestFlowForkMidPipelineBasis(t *testing.T) {
 	if &grand.baseRC[0] != &parent.netRC[0] {
 		t.Fatal("grandchild basis must be the view the engine state was timed under (the parent's), not the child's newer extraction")
 	}
-	got, err := grand.Run()
-	if err != nil {
+	if _, err := grand.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if st := grand.staEng.Stats(); !st.Incremental {
@@ -180,24 +179,17 @@ func TestFlowForkMidPipelineBasis(t *testing.T) {
 	}
 	scratchCfg := base
 	scratchCfg.BackPinFraction = 0.3
-	want, err := RunFlow(smallCore(t, ffetLib), scratchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ga, wa := flowArtifact(t, got), flowArtifact(t, want); ga != wa {
+	want := scratchRun(t, smallCore(t, ffetLib), scratchCfg)
+	if ga, wa := flowArtifact(t, grand), flowArtifact(t, want); ga != wa {
 		t.Errorf("mid-pipeline fork drifted from scratch:\n--- scratch\n%s--- forked\n%s", wa, ga)
 	}
 	// The halted-at-extract child can still finish correctly afterwards.
-	res, err := child.Run()
-	if err != nil {
+	if _, err := child.Run(); err != nil {
 		t.Fatal(err)
 	}
 	scratchCfg.BackPinFraction = 0.16
-	want, err = RunFlow(smallCore(t, ffetLib), scratchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ga, wa := flowArtifact(t, res), flowArtifact(t, want); ga != wa {
+	want = scratchRun(t, smallCore(t, ffetLib), scratchCfg)
+	if ga, wa := flowArtifact(t, child), flowArtifact(t, want); ga != wa {
 		t.Errorf("resumed child drifted from scratch:\n--- scratch\n%s--- forked\n%s", wa, ga)
 	}
 }
@@ -224,7 +216,7 @@ func TestConcurrentForkedRetiming(t *testing.T) {
 	}
 
 	bps := []float64{0.4, 0.3, 0.16, 0.04}
-	arts := make([]string, len(bps))
+	children := make([]*Flow, len(bps))
 	errs := make([]error, len(bps))
 	var wg sync.WaitGroup
 	for i, bp := range bps {
@@ -236,15 +228,14 @@ func TestConcurrentForkedRetiming(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			res, err := child.Run()
-			if err != nil {
+			if _, err := child.Run(); err != nil {
 				errs[i] = err
 				return
 			}
 			if st := child.staEng.Stats(); !st.Incremental {
 				t.Errorf("bp=%.2f: concurrent child not incremental: %+v", bp, st)
 			}
-			arts[i] = flowArtifact(t, res)
+			children[i] = child
 		}(i, bp)
 	}
 	wg.Wait()
@@ -256,13 +247,10 @@ func TestConcurrentForkedRetiming(t *testing.T) {
 	for i, bp := range bps {
 		cfg := base
 		cfg.BackPinFraction = bp
-		want, err := RunFlow(smallCore(t, ffetLib), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wa := flowArtifact(t, want); arts[i] != wa {
+		want := scratchRun(t, smallCore(t, ffetLib), cfg)
+		if ga, wa := flowArtifact(t, children[i]), flowArtifact(t, want); ga != wa {
 			t.Errorf("bp=%.2f: concurrent forked run differs from scratch:\n--- scratch\n%s--- forked\n%s",
-				bp, wa, arts[i])
+				bp, wa, ga)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/cts"
-	"repro/internal/def"
 	"repro/internal/extract"
 	"repro/internal/faultinject"
 	"repro/internal/floorplan"
@@ -40,7 +39,6 @@ const (
 	StageCTS                    // clock tree + legalization + refinement
 	StagePartition              // Algorithm 1 pin redistribution + net split
 	StageRoute                  // dual-sided global routing
-	StageDEF                    // per-side DEF rendering + merge
 	StageExtract                // dual-sided RC extraction
 	StageSTA                    // static timing analysis
 	StagePower                  // power analysis
@@ -51,7 +49,7 @@ const (
 
 var stageNames = [NumStages]string{
 	"synth", "floorplan", "powerplan", "place", "cts",
-	"partition", "route", "def", "extract", "sta", "power",
+	"partition", "route", "extract", "sta", "power",
 }
 
 // stageSites are the fault-injection site names consulted at each stage
@@ -81,7 +79,6 @@ var stageFns = [NumStages]func(*Flow) error{
 	(*Flow).stageCTS,
 	(*Flow).stagePartition,
 	(*Flow).stageRoute,
-	(*Flow).stageDEF,
 	(*Flow).stageExtract,
 	(*Flow).stageSTA,
 	(*Flow).stagePower,
@@ -719,6 +716,9 @@ func copyResultPrefix(dst, src *FlowResult, upTo Stage) {
 		dst.CoreW, dst.CoreH = src.CoreW, src.CoreH
 		dst.CellAreaUm2 = src.CellAreaUm2
 	}
+	if upTo > StagePowerplan {
+		dst.PowerStripes = src.PowerStripes
+	}
 	if upTo > StageCTS {
 		dst.CTSBuffers = src.CTSBuffers
 		dst.RealUtilization = src.RealUtilization
@@ -733,9 +733,6 @@ func copyResultPrefix(dst, src *FlowResult, upTo Stage) {
 		dst.WirelenFrontUm = src.WirelenFrontUm
 		dst.WirelenBackUm = src.WirelenBackUm
 		dst.Vias = src.Vias
-	}
-	if upTo > StageDEF {
-		dst.FrontDEF, dst.BackDEF, dst.MergedDEF = src.FrontDEF, src.BackDEF, src.MergedDEF
 	}
 	if upTo > StageSTA {
 		dst.STA = src.STA
@@ -802,6 +799,7 @@ func (f *Flow) stagePowerplan() error {
 		return err
 	}
 	f.pp = pp
+	f.res.PowerStripes = len(pp.Stripes)
 	if !pp.Feasible {
 		f.halt(StagePowerplan, pp.Reason)
 	}
@@ -1048,33 +1046,6 @@ func (f *Flow) stageRoute() error {
 			res.DRVs(), res.DRVsFront, res.DRVsBack, f.cfg.MaxDRVs)
 		f.reasonStage = StageRoute
 	}
-	return nil
-}
-
-// stageDEF renders both per-side physical databases and their merge.
-func (f *Flow) stageDEF() error {
-	// A side whose routed result was adopted from the diff parent renders
-	// a bit-identical nets section (pin names, gcell-center wire nodes and
-	// vias are all resize-invariant), so the parent's is shared outright.
-	// Components are always rebuilt: resized instances change masters.
-	var adoptFront, adoptBack []*def.Net
-	if d := f.diff; d != nil {
-		if d.stats.RouteAdoptedFront && d.frontDEF != nil {
-			adoptFront = d.frontDEF.Nets
-			d.stats.DEFNetsShared++
-		}
-		if d.stats.RouteAdoptedBack && d.backDEF != nil {
-			adoptBack = d.backDEF.Nets
-			d.stats.DEFNetsShared++
-		}
-	}
-	f.res.FrontDEF = buildDEF(f.work, f.fp, f.pp, f.frontRes, tech.Front, f.cfg, adoptFront)
-	f.res.BackDEF = buildDEF(f.work, f.fp, f.pp, f.backRes, tech.Back, f.cfg, adoptBack)
-	merged, err := def.Merge(f.work.Name, f.res.FrontDEF, f.res.BackDEF)
-	if err != nil {
-		return err
-	}
-	f.res.MergedDEF = merged
 	return nil
 }
 

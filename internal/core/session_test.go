@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/cts"
+	"repro/internal/def"
 	"repro/internal/tech"
 )
 
@@ -39,7 +42,7 @@ func TestFlowRunToMatchesGolden(t *testing.T) {
 			if got := f.NextStage(); int(got) != NumStages {
 				t.Fatalf("NextStage = %v after full run", got)
 			}
-			got := flowArtifact(t, f.Result())
+			got := flowArtifact(t, f)
 			want, err := os.ReadFile(filepath.Join("testdata", "golden_"+gc.name+".txt"))
 			if err != nil {
 				t.Fatalf("missing golden: %v", err)
@@ -139,18 +142,14 @@ func TestFlowForkMatchesScratch(t *testing.T) {
 			if fc.resume <= StageCTS && fc.resume > StageSynth && child.work == parent.work {
 				t.Error("fork into a mutating stage must not share the live netlist")
 			}
-			got, err := child.Run()
-			if err != nil {
+			if _, err := child.Run(); err != nil {
 				t.Fatal(err)
 			}
 
 			scratchCfg := base
 			fc.mutate(&scratchCfg)
-			want, err := RunFlow(smallCore(t, ffetLib), scratchCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ga, wa := flowArtifact(t, got), flowArtifact(t, want); ga != wa {
+			want := scratchRun(t, smallCore(t, ffetLib), scratchCfg)
+			if ga, wa := flowArtifact(t, child), flowArtifact(t, want); ga != wa {
 				t.Errorf("forked run differs from scratch run:\n--- scratch\n%s--- forked\n%s", wa, ga)
 			}
 		})
@@ -184,18 +183,14 @@ func TestFlowForkChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := leaf.Run()
-			if err != nil {
+			if _, err := leaf.Run(); err != nil {
 				t.Fatal(err)
 			}
 			cfg := base
 			cfg.Utilization = util
 			cfg.BackPinFraction = bp
-			want, err := RunFlow(smallCore(t, ffetLib), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ga, wa := flowArtifact(t, got), flowArtifact(t, want); ga != wa {
+			want := scratchRun(t, smallCore(t, ffetLib), cfg)
+			if ga, wa := flowArtifact(t, leaf), flowArtifact(t, want); ga != wa {
 				t.Errorf("util %.2f bp %.2f: chained fork differs from scratch:\n--- scratch\n%s--- forked\n%s",
 					util, bp, wa, ga)
 			}
@@ -228,11 +223,10 @@ func TestFlowForkParentUnaffected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := parent.Run()
-	if err != nil {
+	if _, err := parent.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := flowArtifact(t, res)
+	got := flowArtifact(t, parent)
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_"+gc.name+".txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -261,23 +255,22 @@ func TestFlowForkFromHaltedParent(t *testing.T) {
 	if res.Valid || res.Reason == "" {
 		t.Fatalf("92%% utilization should be tap-infeasible, got valid=%v reason=%q", res.Valid, res.Reason)
 	}
+	if _, _, _, err := parent.DEF(); err == nil {
+		t.Error("DEF on a run halted at powerplan must fail")
+	}
 
 	// Delta after the halting stage: the child inherits the halt.
 	child, err := parent.Fork(func(c *FlowConfig) { c.BackPinFraction = 0.16 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := child.Run()
-	if err != nil {
+	if _, err := child.Run(); err != nil {
 		t.Fatal(err)
 	}
 	scratchCfg := cfg
 	scratchCfg.BackPinFraction = 0.16
-	want, err := RunFlow(smallCore(t, ffetLib), scratchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ga, wa := flowArtifact(t, got), flowArtifact(t, want); ga != wa {
+	want := scratchRun(t, smallCore(t, ffetLib), scratchCfg)
+	if ga, wa := flowArtifact(t, child), flowArtifact(t, want); ga != wa {
 		t.Errorf("halted fork differs from scratch:\n--- scratch\n%s--- forked\n%s", wa, ga)
 	}
 
@@ -292,14 +285,11 @@ func TestFlowForkFromHaltedParent(t *testing.T) {
 	}
 	fixedCfg := cfg
 	fixedCfg.Utilization = 0.70
-	fwant, err := RunFlow(smallCore(t, ffetLib), fixedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fwant := scratchRun(t, smallCore(t, ffetLib), fixedCfg)
 	if !fres.Valid {
 		t.Errorf("lowered-utilization fork still invalid: %q", fres.Reason)
 	}
-	if ga, wa := flowArtifact(t, fres), flowArtifact(t, fwant); ga != wa {
+	if ga, wa := flowArtifact(t, fixed), flowArtifact(t, fwant); ga != wa {
 		t.Errorf("recovered fork differs from scratch:\n--- scratch\n%s--- forked\n%s", wa, ga)
 	}
 }
@@ -352,5 +342,125 @@ func TestFlowForkRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := f.Fork(func(c *FlowConfig) { c.Pattern = tech.Pattern{Front: 12} }); err == nil {
 		t.Fatal("fork to a frontside-only pattern with backside pins must be rejected")
+	}
+}
+
+// renderDEF concatenates the session's front, back and merged DEF texts.
+func renderDEF(f *Flow) (string, error) {
+	front, back, merged, err := f.DEF()
+	if err != nil {
+		return "", err
+	}
+	var b bytes.Buffer
+	for _, d := range []*def.Design{front, back, merged} {
+		if err := d.Write(&b); err != nil {
+			return "", err
+		}
+	}
+	return b.String(), nil
+}
+
+// TestFlowDEFNeedsRoute pins when a session has a layout to render: not
+// before StageRoute completes (TestFlowForkFromHaltedParent covers a run
+// halted at powerplan), and once routed, the same text at every later
+// checkpoint.
+func TestFlowDEFNeedsRoute(t *testing.T) {
+	cfg := DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.72)
+	cfg.BackPinFraction = 0.5
+	cfg.Seed = 4
+	f, err := NewFlow(smallCore(t, ffetLib), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RunTo(StagePartition); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := f.DEF(); err == nil {
+		t.Fatal("DEF before StageRoute must fail")
+	}
+	if err := f.RunTo(StageRoute); err != nil {
+		t.Fatal(err)
+	}
+	atRoute, err := renderDEF(f)
+	if err != nil {
+		t.Fatalf("DEF after StageRoute: %v", err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if done, err := renderDEF(f); err != nil || done != atRoute {
+		t.Errorf("completed session renders a different layout than at StageRoute (err %v)", err)
+	}
+}
+
+// TestFlowDEFConcurrentForks renders layouts concurrently on sibling
+// forks of one placed checkpoint while the parent finishes its own
+// pipeline: re-routed siblings share the netlist, floorplan and powerplan
+// (tap components included, first rendered here), and power-option forks
+// of each share its routed trees too. Every concurrent render must equal
+// a serial render of the same session afterwards. Run with -race
+// -count=10.
+func TestFlowDEFConcurrentForks(t *testing.T) {
+	cfg := DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.72)
+	cfg.BackPinFraction = 0.5
+	parent, err := NewFlow(smallCore(t, ffetLib), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.RunTo(StageCTS); err != nil {
+		t.Fatal(err)
+	}
+	var sibs []*Flow
+	for _, bp := range []float64{0.5, 0.16} {
+		child, err := parent.Fork(func(c *FlowConfig) { c.BackPinFraction = bp })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := child.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sibs = append(sibs, child)
+		for _, act := range []float64{0.1, 0.3} {
+			g, err := child.Fork(func(c *FlowConfig) { c.Power.Activity = act })
+			if err != nil {
+				t.Fatal(err)
+			}
+			sibs = append(sibs, g)
+		}
+	}
+
+	const perSib = 2
+	got := make([]string, len(sibs)*perSib)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := parent.Run(); err != nil {
+			t.Errorf("parent run: %v", err)
+		}
+	}()
+	for i, s := range sibs {
+		for r := range perSib {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if got[i*perSib+r], err = renderDEF(s); err != nil {
+					t.Errorf("sibling %d: %v", i, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for i, s := range sibs {
+		want, err := renderDEF(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range perSib {
+			if got[i*perSib+r] != want {
+				t.Errorf("sibling %d: concurrent render differs from the serial one", i)
+			}
+		}
 	}
 }

@@ -96,6 +96,36 @@ func TestFig08bSingleRun(t *testing.T) {
 	if !(ffetArea < cfetArea) { // numeric strings, same width class
 		t.Logf("areas: cfet=%s ffet=%s", cfetArea, ffetArea)
 	}
+
+	// The "power stripes" row counts the BSPDN stripes each run's
+	// powerplan laid out (not the VDD/VSS special nets). The table's two
+	// runs are the suite's only memo entries; re-plan each independently.
+	var stripes []string
+	for _, r := range tab.Rows {
+		if r[0] == "power stripes" {
+			stripes = r[1:]
+		}
+	}
+	if len(stripes) != 2 || len(s.results) != 2 {
+		t.Fatalf("stripe row %q over %d memoized runs, want 2 and 2", stripes, len(s.results))
+	}
+	for _, res := range s.results {
+		f, err := core.NewFlow(s.Netlist(res.Arch), res.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.RunTo(core.StagePowerplan); err != nil {
+			t.Fatal(err)
+		}
+		want := len(f.Powerplan().Stripes)
+		col := 1 // stripes holds the CFET then the FFET column
+		if res.Arch == tech.CFET {
+			col = 0
+		}
+		if res.PowerStripes != want || stripes[col] != fmt.Sprint(want) {
+			t.Errorf("%v: PowerStripes %d, row %q, want %d stripes", res.Arch, res.PowerStripes, stripes[col], want)
+		}
+	}
 }
 
 func TestRunMemoization(t *testing.T) {

@@ -239,8 +239,9 @@ func (s *Suite) Fig08a() (*Table, error) {
 	return t, errors.Join(fErr, cErr)
 }
 
-// Fig08b reports the core layouts at a common utilization (dimensions and
-// per-side wire usage; the DEFs themselves are the layout artifact).
+// Fig08b reports the core layouts at a common utilization: dimensions,
+// per-side wire usage and BSPDN stripe count (Flow.DEF renders the
+// layouts themselves).
 func (s *Suite) Fig08b() (*Table, error) {
 	util := 0.84
 	cfgF := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, util)
@@ -264,7 +265,7 @@ func (s *Suite) Fig08b() (*Table, error) {
 		[]string{"core area (um2)", f1(rc.CoreAreaUm2), f1(rf.CoreAreaUm2)},
 		[]string{"front wire (um)", f1(rc.WirelenFrontUm), f1(rf.WirelenFrontUm)},
 		[]string{"back wire (um)", f1(rc.WirelenBackUm), f1(rf.WirelenBackUm)},
-		[]string{"power stripes", fmt.Sprintf("%d", len(rc.BackDEF.SpecialNets)), fmt.Sprintf("%d", len(rf.BackDEF.SpecialNets))},
+		[]string{"power stripes", fmt.Sprintf("%d", rc.PowerStripes), fmt.Sprintf("%d", rf.PowerStripes)},
 		[]string{"valid", fmt.Sprintf("%v", rc.Valid), fmt.Sprintf("%v", rf.Valid)},
 	)
 	t.Notes = append(t.Notes, "paper: CFET 21.11x21.12 um vs FFET 18.54x18.47 um")

@@ -153,8 +153,8 @@ func (r MCRequest) Options() variation.Options {
 // Summary is the deterministic result payload of one flow run: the PPA
 // metrics the paper's tables report, with stable field order and Go's
 // shortest-round-trip float rendering. Deliberately excluded: StageTimes
-// (wall-clock, nondeterministic) and the DEF artifacts (megabytes; the
-// offline CLIs write those). Byte-identity between daemon and offline
+// (wall-clock, nondeterministic) and the routed layout (megabytes of DEF;
+// ffetflow -def writes it). Byte-identity between daemon and offline
 // paths is asserted over this encoding.
 type Summary struct {
 	Arch   string `json:"arch"`
