@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cts"
 	"repro/internal/exp"
 	"repro/internal/riscv"
 	"repro/internal/sta"
@@ -338,63 +337,6 @@ func BenchmarkSweepFreqIncremental(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSweepIncrementalPlace measures the incremental placement path
-// on a CTS-option sweep (a MaxLeafFanout DoE — the fork-at-StageCTS
-// shape behind clock-tree exploration): both arms run the parent to
-// StagePlace once and fork a child per fanout point at StageCTS.
-// "incremental" hands each child the parent's retained legalization +
-// refinement bases, so its StageCTS re-legalizes only the inserted
-// buffer delta and re-collects refinement endpoints only for the clock
-// cone; "replay" disables the fast path and replays full legalization +
-// the 3-pass refinement collection from the post-place snapshot.
-// Placements are bit-identical between the two (pinned by
-// core.TestFlowForkIncrementalPlacement); the incremental sweep must
-// show materially less wall-clock per sweep.
-func BenchmarkSweepIncrementalPlace(b *testing.B) {
-	s := getSuite(b)
-	nl, _, err := riscv.Generate(s.FFET, riscv.Config{Name: "rv32incp", Registers: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fanouts := []int{24, 16, 12, 20, 8}
-	base := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
-	base.BackPinFraction = 0.5
-
-	// The parent (synthesis through global placement, basis build for
-	// the incremental arm) is built once per arm outside the timed loop:
-	// it is identical work in both arms and amortized over the
-	// thousands-of-points sweeps this path serves, while the measured
-	// unit — fork a point, run its StageCTS — is what every sweep point
-	// pays per configuration.
-	run := func(b *testing.B, incremental bool) {
-		parent, err := core.NewFlow(nl, base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		parent.SetIncrementalPlacement(incremental)
-		if err := parent.RunTo(core.StagePlace); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, mf := range fanouts {
-				g, err := parent.Fork(func(c *core.FlowConfig) {
-					c.CTS = cts.Options{MaxLeafFanout: mf, BufferDrive: 4}
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := g.RunTo(core.StageCTS); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("incremental", func(b *testing.B) { run(b, true) })
-	b.Run("replay", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkFlowSingleRun measures one complete physical implementation +

@@ -85,7 +85,8 @@ type (
 // Error taxonomy: every error a flow session returns wraps exactly one of
 // these sentinels (match with errors.Is).
 var (
-	// ErrInvalidConfig rejects a structurally impossible FlowConfig.
+	// ErrInvalidConfig rejects a structurally impossible or out-of-range
+	// FlowConfig.
 	ErrInvalidConfig = core.ErrInvalidConfig
 	// ErrCancelled reports a run stopped by its context.
 	ErrCancelled = core.ErrCancelled

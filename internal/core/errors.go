@@ -13,7 +13,8 @@ import (
 // *FlowError with stage and config provenance, extractable with errors.As.
 var (
 	// ErrInvalidConfig reports a structurally impossible FlowConfig
-	// (invalid metal pattern, backside pins without backside layers).
+	// (invalid metal pattern, backside pins without backside layers) or
+	// an out-of-range or non-finite numeric knob (FlowConfig.Validate).
 	ErrInvalidConfig = errors.New("core: invalid flow config")
 
 	// ErrCancelled reports cooperative cancellation: the run's context was

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -61,11 +62,37 @@ func DefaultFlowConfig(pattern tech.Pattern, targetGHz, util float64) FlowConfig
 	}
 }
 
-// validateFlowConfig rejects structurally impossible configs and
-// normalizes defaulted knobs. Shared by NewFlow and Flow.Fork so a
-// mutated fork config passes exactly the checks a fresh session would.
-// Failures are classified as ErrInvalidConfig.
+// Validate rejects out-of-range numeric knobs: the target frequency must
+// be positive and finite, the utilization in (0, 1], the aspect ratio
+// finite and non-negative (0 picks the default 1.0) and the back-pin
+// fraction in [0, 1]. NaN fails every check. Every entry point — NewFlow,
+// Fork, RunFlow and the daemon's request decoding — runs it, so all of
+// them reject a bad value the same way, classified as ErrInvalidConfig.
+func (c FlowConfig) Validate() error {
+	var err error
+	switch {
+	case !(c.TargetFreqGHz > 0) || math.IsInf(c.TargetFreqGHz, 1):
+		err = fmt.Errorf("target frequency %v GHz must be positive and finite", c.TargetFreqGHz)
+	case !(c.Utilization > 0 && c.Utilization <= 1):
+		err = fmt.Errorf("utilization %v must be in (0, 1]", c.Utilization)
+	case !(c.AspectRatio >= 0) || math.IsInf(c.AspectRatio, 1):
+		err = fmt.Errorf("aspect ratio %v must be finite and non-negative", c.AspectRatio)
+	case !(c.BackPinFraction >= 0 && c.BackPinFraction <= 1):
+		err = fmt.Errorf("back-pin fraction %v must be in [0, 1]", c.BackPinFraction)
+	default:
+		return nil
+	}
+	return &FlowError{Kind: ErrInvalidConfig, Stage: stageNone, Config: c.Name, Err: err}
+}
+
+// validateFlowConfig rejects out-of-range and structurally impossible
+// configs and normalizes defaulted knobs. Shared by NewFlow and Flow.Fork
+// so a mutated fork config passes exactly the checks a fresh session
+// would. Failures are classified as ErrInvalidConfig.
 func validateFlowConfig(st *tech.Stack, cfg *FlowConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	invalid := func(err error) error {
 		return &FlowError{Kind: ErrInvalidConfig, Stage: stageNone, Config: cfg.Name, Err: err}
 	}

@@ -12,15 +12,15 @@ import (
 // FootprintBytes estimates the bytes of heap state this session retains
 // as its checkpoint: the working netlist and its stage-boundary
 // snapshots, the floorplan/powerplan/CTS/partition/routing/extraction
-// artifacts, the incremental STA engine with its RC baseline, the
-// retained placement bases, and the result.
+// artifacts, the incremental STA engine with its RC baseline, and the
+// result.
 //
 // The estimate is an accounting sum for cache budgeting (allocator slack
 // and map overhead approximated), deterministic for a quiescent session.
 // It must only be called on a session with no RunToCtx in flight — the
 // stage bodies write these slots outside the session lock, so measuring a
 // running session would race. State a forked child shares with its parent
-// (snapshots, bases, engine graph tables) is charged to both: a cache
+// (snapshots, engine graph tables) is charged to both: a cache
 // holding root and prefix double-counts the shared snapshot, which errs
 // on the safe side of a byte budget.
 func (f *Flow) FootprintBytes() int64 {
@@ -57,9 +57,6 @@ func (f *Flow) FootprintBytes() int64 {
 	}
 	b += f.staEng.FootprintBytes()
 	b += int64(len(f.dirtyRC)) * int64(unsafe.Sizeof(int32(0)))
-
-	b += f.placeBasis.FootprintBytes()
-	b += f.refineBasis.FootprintBytes()
 
 	if f.res != nil {
 		b += int64(unsafe.Sizeof(*f.res))

@@ -8,8 +8,7 @@
 // correspondence with netlist.Diff, and — when the gates hold — re-stamps
 // the parent's global placement over the child's netlist and hands the
 // patched stage bodies the parent artifacts they can adopt: the
-// legalization/refinement bases (with resized cells re-probed as moved),
-// the partition's dense sink tables (changed nets recomputed), the routed
+// partition's dense sink tables (changed nets recomputed), the routed
 // trees (adopted whole when every pin gcell and the negotiation order are
 // provably unchanged), and the timing engine (re-stamped over the child's
 // instances, re-propagating only dirtied cones). Every gate failure falls
@@ -115,9 +114,8 @@ func (f *Flow) ForkSynthDiffCtx(ctx context.Context, mutate func(*FlowConfig)) (
 
 	f.mu.Lock()
 	ready := f.err == nil && !f.running && !f.halted && f.res.Reason == "" &&
-		int(f.next) == NumStages && !f.noIncPlace &&
+		int(f.next) == NumStages &&
 		f.synthSnap != nil && f.placeSnap != nil &&
-		f.placeBasis != nil && f.refineBasis != nil &&
 		f.staEng != nil && f.baseRC != nil
 	f.mu.Unlock()
 	if !ready {
@@ -172,11 +170,6 @@ func (f *Flow) ForkSynthDiffCtx(ctx context.Context, mutate func(*FlowConfig)) (
 		child.work.Ports[i].Pos = p.Pos
 	}
 	child.placeSnap = child.work.Snapshot()
-	// The parent's bases describe these positions at the parent's widths;
-	// StageCTS declares width-diverged (resized) cells moved, so the delta
-	// legalizer re-probes them and the refinement patch re-reads them.
-	child.placeBasis = f.placeBasis
-	child.refineBasis = f.refineBasis
 	child.res.StageTimes[StagePlace] = time.Since(t0)
 
 	child.baseRC = f.baseRC

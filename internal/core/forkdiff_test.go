@@ -36,28 +36,24 @@ func completedFlow(t *testing.T, cfg FlowConfig, scale string) *Flow {
 	return f
 }
 
-// diffVsScratch forks parent both ways under the same mutation, runs both
-// children to completion and requires byte-identical artifacts (every
-// FlowResult metric at full precision plus the DEF SHA-256s).
+// diffVsScratch diff-forks parent under mutation, runs the child to
+// completion and requires artifacts byte-identical to a scratch run of
+// the mutated config (every FlowResult metric at full precision plus the
+// DEF SHA-256s).
 func diffVsScratch(t *testing.T, parent *Flow, mutate func(*FlowConfig)) (*Flow, *SynthDiffStats) {
 	t.Helper()
 	diffChild, st, err := parent.ForkSynthDiff(mutate)
 	if err != nil {
 		t.Fatalf("ForkSynthDiff: %v", err)
 	}
-	scratch, err := parent.Fork(mutate)
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	// The scratch arm re-runs the full pipeline from StageSynth with no
-	// inherited placement/partition/route/STA state.
-	scratch.SetIncrementalPlacement(false)
 	if _, err := diffChild.Run(); err != nil {
 		t.Fatalf("diff child run: %v", err)
 	}
-	if _, err := scratch.Run(); err != nil {
-		t.Fatalf("scratch child run: %v", err)
-	}
+	// The scratch arm is a one-shot run of the mutated config: nothing is
+	// inherited from the parent.
+	cfg := parent.Config()
+	mutate(&cfg)
+	scratch := scratchRun(t, parent.input, cfg)
 	da, sa := flowArtifact(t, diffChild), flowArtifact(t, scratch)
 	if da != sa {
 		t.Errorf("diff fork diverged from scratch fork (stats %+v)\n--- diff\n%s--- scratch\n%s", st, da, sa)
@@ -103,8 +99,7 @@ func TestSynthDiffForkMatchesScratch(t *testing.T) {
 
 	t.Run("chained", func(t *testing.T) {
 		// A completed diff child is itself a diffable checkpoint: chain a
-		// second hop off it (its legalization basis still carries the
-		// grandparent's widths — DivergedWidthSeqs covers the superset).
+		// second hop off it.
 		if chained == nil {
 			t.Skip("no diff child to chain from")
 		}
@@ -244,14 +239,9 @@ func TestSynthDiffForkConcurrent(t *testing.T) {
 		}
 	}
 	for i, tgt := range targets {
-		scratch, err := parent.Fork(func(c *FlowConfig) { c.TargetFreqGHz = tgt })
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch.SetIncrementalPlacement(false)
-		if _, err := scratch.Run(); err != nil {
-			t.Fatal(err)
-		}
+		cfg := parent.Config()
+		cfg.TargetFreqGHz = tgt
+		scratch := scratchRun(t, parent.input, cfg)
 		if sa := flowArtifact(t, scratch); sa != flowArtifact(t, children[i]) {
 			t.Errorf("tgt %v: concurrent diff fork diverged from scratch", tgt)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -20,24 +21,71 @@ func robustCfg() FlowConfig {
 	return cfg
 }
 
+// TestErrInvalidConfigTaxonomy drives every class of bad config — a
+// structural mismatch, NaN, ±Inf and out-of-range numeric knobs —
+// through NewFlow, RunFlow and Fork: each entry point must reject it
+// up front as an ErrInvalidConfig *FlowError with config provenance and
+// no stage.
 func TestErrInvalidConfigTaxonomy(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		mutate func(*FlowConfig)
+	}{
+		{"backpins_without_back_layers", func(c *FlowConfig) { c.Pattern = tech.Pattern{Front: 6} }},
+		{"target_nan", func(c *FlowConfig) { c.TargetFreqGHz = nan }},
+		{"target_pos_inf", func(c *FlowConfig) { c.TargetFreqGHz = inf }},
+		{"target_neg_inf", func(c *FlowConfig) { c.TargetFreqGHz = -inf }},
+		{"target_zero", func(c *FlowConfig) { c.TargetFreqGHz = 0 }},
+		{"target_negative", func(c *FlowConfig) { c.TargetFreqGHz = -1.5 }},
+		{"util_nan", func(c *FlowConfig) { c.Utilization = nan }},
+		{"util_pos_inf", func(c *FlowConfig) { c.Utilization = inf }},
+		{"util_neg_inf", func(c *FlowConfig) { c.Utilization = -inf }},
+		{"util_zero", func(c *FlowConfig) { c.Utilization = 0 }},
+		{"util_above_one", func(c *FlowConfig) { c.Utilization = 1.5 }},
+		{"aspect_nan", func(c *FlowConfig) { c.AspectRatio = nan }},
+		{"aspect_pos_inf", func(c *FlowConfig) { c.AspectRatio = inf }},
+		{"aspect_neg_inf", func(c *FlowConfig) { c.AspectRatio = -inf }},
+		{"aspect_negative", func(c *FlowConfig) { c.AspectRatio = -1 }},
+		{"backpins_nan", func(c *FlowConfig) { c.BackPinFraction = nan }},
+		{"backpins_pos_inf", func(c *FlowConfig) { c.BackPinFraction = inf }},
+		{"backpins_neg_inf", func(c *FlowConfig) { c.BackPinFraction = -inf }},
+		{"backpins_above_one", func(c *FlowConfig) { c.BackPinFraction = 1.5 }},
+		{"backpins_negative", func(c *FlowConfig) { c.BackPinFraction = -0.2 }},
+	}
 	nl := smallCore(t, ffetLib)
-	cfg := DefaultFlowConfig(tech.Pattern{Front: 6}, 1.5, 0.70)
-	cfg.BackPinFraction = 0.5 // backside pins without backside layers
-	cfg.Name = "badcfg"
-	_, err := NewFlow(nl, cfg)
-	if !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("err = %v, want ErrInvalidConfig", err)
+	parent, err := NewFlow(nl, robustCfg())
+	if err != nil {
+		t.Fatal(err)
 	}
-	var fe *FlowError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err %T is not a *FlowError", err)
+	check := func(t *testing.T, entry string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("%s: err = %v, want ErrInvalidConfig", entry, err)
+		}
+		var fe *FlowError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%s: err %T is not a *FlowError", entry, err)
+		}
+		if fe.Config != "badcfg" {
+			t.Errorf("%s: Config provenance = %q, want badcfg", entry, fe.Config)
+		}
+		if fe.Stage >= 0 {
+			t.Errorf("%s: pre-stage error carries stage %v", entry, fe.Stage)
+		}
 	}
-	if fe.Config != "badcfg" {
-		t.Errorf("Config provenance = %q, want badcfg", fe.Config)
-	}
-	if fe.Stage >= 0 {
-		t.Errorf("pre-stage error carries stage %v", fe.Stage)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := robustCfg()
+			cfg.Name = "badcfg"
+			tc.mutate(&cfg)
+			_, err := NewFlow(nl, cfg)
+			check(t, "NewFlow", err)
+			_, err = RunFlow(nl, cfg)
+			check(t, "RunFlow", err)
+			_, err = parent.Fork(func(c *FlowConfig) { *c = cfg })
+			check(t, "Fork", err)
+		})
 	}
 }
 

@@ -132,7 +132,9 @@ func firstAffectedStage(old, new FlowConfig) Stage {
 // outputs are immutable once produced and shared between parent and
 // children; the netlist — which placement and CTS mutate in place — is
 // checkpointed at the two mutation boundaries (post-synth and
-// post-global-placement) and forked children get their own Snapshot.
+// post-global-placement) and forked children get their own Snapshot; a
+// child resuming at StageCTS legalizes and refines its snapshot of the
+// post-global-placement netlist exactly as a from-scratch run does.
 // Forked runs are bit-identical to from-scratch runs of the same config.
 //
 // Independent forked sessions may run concurrently: from StagePartition
@@ -209,27 +211,6 @@ type Flow struct {
 	dirtyRC   []int32
 	haveDirty bool
 
-	// Incremental placement state, persisted as part of the StagePlace
-	// checkpoint. placeBasis retains the legalizer's per-row
-	// free-interval fold over the placeSnap positions; refineBasis
-	// retains the refinement endpoint collection. Both are immutable
-	// once built, so Fork shares them by pointer with children resuming
-	// at StageCTS: the child re-legalizes only the CTS buffer delta
-	// (place.LegalizeDelta) and re-collects refinement refs only for
-	// clock-cone endpoints, instead of replaying full legalization + 3
-	// Refine collections from the snapshot. Full Legalize/RefineCtx stay
-	// the fallback on basis mismatch, mirroring the incremental-STA
-	// contract above.
-	placeBasis  *place.LegalBasis
-	refineBasis *place.RefineBasis
-	// noIncPlace disables the retained-placement fast path (scratch
-	// arm for A/B benchmarks and bit-identity tests). Inherited by forks.
-	noIncPlace bool
-	// placeDeltaHits counts StageCTS executions that went through the
-	// delta legalizer (observability for tests; owned by the running
-	// goroutine).
-	placeDeltaHits int
-
 	// diff carries the parent artifacts a synth-diff fork stages for
 	// adoption (see ForkSynthDiff); nil on every other session. Cleared at
 	// the end of StageSTA so diff chains do not retain their ancestors.
@@ -262,18 +243,6 @@ func newFlow(nl *netlist.Netlist, cfg FlowConfig, keepSnaps bool) (*Flow, error)
 
 // Config returns the session's (normalized) configuration.
 func (f *Flow) Config() FlowConfig { return f.cfg }
-
-// SetIncrementalPlacement toggles the retained-placement fast path for
-// this session and its future forks (on by default for checkpointed
-// sessions). Placements are bit-identical either way; turning it off
-// forces the full Legalize + Refine replay, which is the scratch arm of
-// the A/B benchmarks. Call it before the session reaches StagePlace —
-// it must not race a RunTo in flight.
-func (f *Flow) SetIncrementalPlacement(on bool) {
-	f.mu.Lock()
-	f.noIncPlace = !on
-	f.mu.Unlock()
-}
 
 // NextStage returns the first stage that has not yet executed;
 // Stage(NumStages) once the pipeline is complete.
@@ -538,7 +507,10 @@ func (f *Flow) stageCtx() context.Context {
 // Forking never executes stages: if the parent has not yet reached the
 // divergence stage, the child simply resumes wherever the parent
 // stopped. Run the parent to the deepest shared stage first (e.g.
-// RunTo(StageCTS) before a BackPinFraction sweep) to maximize reuse.
+// RunTo(StageCTS) before a BackPinFraction sweep) to maximize reuse. A
+// child resuming at StageCTS (a CTS-option delta) re-runs the clock
+// tree, legalization and refinement in full on its own snapshot of the
+// parent's global placement.
 //
 // Fork is safe under arbitrary concurrency: forking a parent that is
 // mid-RunTo fails fast with ErrForkRace (no partial checkpoint is ever
@@ -581,14 +553,13 @@ func (f *Flow) Fork(mutate func(*FlowConfig)) (*Flow, error) {
 	}
 
 	child := &Flow{
-		cfg:        cfg,
-		input:      f.input,
-		lib:        f.lib,
-		st:         f.st,
-		keepSnaps:  f.keepSnaps,
-		noIncPlace: f.noIncPlace,
-		next:       resume,
-		res:        &FlowResult{Config: cfg, Arch: f.st.Arch},
+		cfg:       cfg,
+		input:     f.input,
+		lib:       f.lib,
+		st:        f.st,
+		keepSnaps: f.keepSnaps,
+		next:      resume,
+		res:       &FlowResult{Config: cfg, Arch: f.st.Arch},
 	}
 	copyResultPrefix(child.res, f.res, resume)
 	if f.res.Reason != "" && f.reasonStage < resume {
@@ -626,15 +597,6 @@ func (f *Flow) Fork(mutate func(*FlowConfig)) (*Flow, error) {
 			child.placeSnap = f.placeSnap
 			child.work = f.work
 		}
-	}
-	// Incremental placement basis: both bases describe the placeSnap
-	// positions and are immutable once built, so any child that will not
-	// re-run StagePlace (and therefore works on a snapshot with those
-	// exact positions, or only hands the pointers on to its own forks)
-	// shares them.
-	if resume >= StageCTS {
-		child.placeBasis = f.placeBasis
-		child.refineBasis = f.refineBasis
 	}
 	if resume > StageFloorplan {
 		child.fp = f.fp
@@ -818,19 +780,6 @@ func (f *Flow) stagePlace() error {
 	}
 	if f.keepSnaps {
 		f.placeSnap = f.work.Snapshot()
-		f.mu.Lock()
-		inc := !f.noIncPlace
-		f.mu.Unlock()
-		if inc {
-			// Retain the legalization fold and refinement endpoint
-			// collection over the checkpoint positions. Children forked
-			// at StageCTS share both by pointer; this session's own
-			// StageCTS recoups the fold cost through the delta path. A
-			// nil basis (config cannot legalize) leaves the full path,
-			// which halts the run with the same violation.
-			f.placeBasis = place.NewLegalBasis(f.work, f.fp, f.pp.Blockages)
-			f.refineBasis = place.NewRefineBasis(f.work, f.fp)
-		}
 	}
 	return nil
 }
@@ -843,12 +792,6 @@ func (f *Flow) stageCTS() error {
 	if copt.MaxLeafFanout == 0 {
 		copt = cts.DefaultOptions()
 	}
-	// The refinement dirty set needs the clock net's endpoints as they
-	// stood before CTS rewires them onto leaf buffer nets.
-	var dirty []int32
-	if f.refineBasis != nil {
-		dirty = clockEndpointSeqs(f.work, nil)
-	}
 	ctsRes, err := cts.Run(f.work, f.fp, copt)
 	if err != nil {
 		return err
@@ -856,84 +799,17 @@ func (f *Flow) stageCTS() error {
 	f.ctsRes = ctsRes
 	f.res.CTSBuffers = ctsRes.Buffers
 	f.res.RealUtilization = float64(f.work.CellAreaNm2()) / float64(f.fp.Core.Area())
-	ctx := f.stageCtx()
-	// CTS only appends buffers (base positions untouched), so the moved
-	// set for delta legalization is the appended instances — plus, on a
-	// synth-diff fork sharing a neighbor's basis, the base cells whose
-	// width diverged from the recording (resized drives no longer fit
-	// their recorded slots and must be re-probed). On any basis mismatch
-	// LegalizeDelta restores the input positions and the full legalizer
-	// runs as if the fast path never existed.
-	legal := false
-	if f.placeBasis != nil {
-		diverged := f.placeBasis.DivergedWidthSeqs(f.work, f.fp)
-		moved := make([]*netlist.Instance, 0, len(diverged)+len(f.work.Instances)-f.placeBasis.NumBaseInstances())
-		for _, seq := range diverged {
-			moved = append(moved, f.work.Instances[seq])
-		}
-		for _, inst := range f.work.Instances[f.placeBasis.NumBaseInstances():] {
-			if !inst.Fixed {
-				moved = append(moved, inst)
-			}
-		}
-		if place.LegalizeDelta(f.work, f.fp, f.pp.Blockages, f.placeBasis, moved) == nil {
-			legal = true
-			f.placeDeltaHits++
-		}
-		if f.refineBasis != nil {
-			// Resized cells also invalidate their recorded refinement
-			// widths; the patched collection refreshes dirty seqs.
-			dirty = append(dirty, diverged...)
-		}
+	if err := place.Legalize(f.work, f.fp, f.pp.Blockages); err != nil {
+		// A legalization failure is a property of the config (run invalid,
+		// session healthy), not a session fault.
+		f.halt(StageCTS, fmt.Sprintf("placement violation: %v", err))
+		return nil
 	}
-	if !legal {
-		if err := place.Legalize(f.work, f.fp, f.pp.Blockages); err != nil {
-			// A legalization failure is a property of the config (run invalid,
-			// session healthy), not a session fault.
-			f.halt(StageCTS, fmt.Sprintf("placement violation: %v", err))
-			return nil
-		}
-	}
-	refined := false
-	if f.refineBasis != nil {
-		// Connectivity changed only for the old clock endpoints (flops
-		// rewired onto leaf nets, the old root driver), the new clock
-		// endpoints, and the appended buffers (re-collected
-		// automatically for Seqs past the basis).
-		dirty = clockEndpointSeqs(f.work, dirty)
-		if refs, widths, ok := f.refineBasis.PatchedRefs(f.work, f.fp, dirty); ok {
-			if err := place.RefineRefsCtx(ctx, f.work, f.fp, f.pp.Blockages, 3, refs, widths); err != nil {
-				return err
-			}
-			refined = true
-		}
-	}
-	if !refined {
-		if err := place.RefineCtx(ctx, f.work, f.fp, f.pp.Blockages, 3); err != nil {
-			return err
-		}
+	if err := place.RefineCtx(f.stageCtx(), f.work, f.fp, f.pp.Blockages, 3); err != nil {
+		return err
 	}
 	f.res.HPWLUm = float64(place.HPWL(f.work, f.fp)) / 1000
 	return nil
-}
-
-// clockEndpointSeqs appends the instance Seqs on the current clock net
-// (driver + sinks) to buf. Called before and after cts.Run, it yields
-// the instances whose connectivity the tree build touches.
-func clockEndpointSeqs(nl *netlist.Netlist, buf []int32) []int32 {
-	clk := nl.ClockNet()
-	if clk == nil {
-		return buf
-	}
-	if clk.Driver.Inst != nil {
-		buf = append(buf, int32(clk.Driver.Inst.Seq))
-	}
-	for _, s := range clk.Sinks {
-		if s.Inst != nil {
-			buf = append(buf, int32(s.Inst.Seq))
-		}
-	}
-	return buf
 }
 
 // stagePartition redistributes input pins and splits every net into

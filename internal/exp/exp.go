@@ -242,11 +242,11 @@ type SynthClass struct {
 // PrefixClass identifies the placed prefix class: configs in the same
 // class share everything through StagePlace. CTS options are deliberately
 // not part of the key — a point whose CTS delta diverges from its base
-// forks at StageCTS and re-legalizes only the buffer delta against the
-// retained placement basis (place.LegalizeDelta), so CTS-option sweeps
-// share one placed prefix instead of replaying placement per option.
-// Points that also match the base's CTS diverge at StagePartition or
-// later (back-pin fraction, routing, analysis knobs).
+// forks at StageCTS and re-runs the clock tree, legalization and
+// refinement from the prefix's global placement, so CTS-option sweeps
+// share one placed prefix instead of re-placing per option. Points that
+// also match the base's CTS diverge at StagePartition or later (back-pin
+// fraction, routing, analysis knobs).
 type PrefixClass struct {
 	sk      SynthClass
 	util    float64

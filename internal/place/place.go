@@ -587,19 +587,9 @@ func buildFreeLists(fp *floorplan.Plan, blockages map[int][]geom.Interval) [][]g
 	return free
 }
 
-// legalCmp is the legalization processing order: wide cells first within
-// global-X order bands for stability, names breaking the remaining ties.
-func legalCmp(a, b *netlist.Instance) int {
-	if a.Pos.X != b.Pos.X {
-		return cmp.Compare(a.Pos.X, b.Pos.X)
-	}
-	if a.Cell.WidthCPP != b.Cell.WidthCPP {
-		return cmp.Compare(b.Cell.WidthCPP, a.Cell.WidthCPP)
-	}
-	return strings.Compare(a.Name, b.Name)
-}
-
-// legalOrder returns the movable instances in legalization order.
+// legalOrder returns the movable instances in legalization order: wide
+// cells first within global-X order bands for stability, names breaking
+// the remaining ties.
 func legalOrder(nl *netlist.Netlist) []*netlist.Instance {
 	movable := make([]*netlist.Instance, 0, len(nl.Instances))
 	for _, inst := range nl.Instances {
@@ -607,7 +597,15 @@ func legalOrder(nl *netlist.Netlist) []*netlist.Instance {
 			movable = append(movable, inst)
 		}
 	}
-	slices.SortFunc(movable, legalCmp)
+	slices.SortFunc(movable, func(a, b *netlist.Instance) int {
+		if a.Pos.X != b.Pos.X {
+			return cmp.Compare(a.Pos.X, b.Pos.X)
+		}
+		if a.Cell.WidthCPP != b.Cell.WidthCPP {
+			return cmp.Compare(b.Cell.WidthCPP, a.Cell.WidthCPP)
+		}
+		return strings.Compare(a.Name, b.Name)
+	})
 	return movable
 }
 
@@ -618,12 +616,9 @@ var legalWindows = [3]int{3, 8, -1}
 
 // placeOne finds a cell's legal slot: it jointly minimizes X displacement
 // and row distance over windows of increasing size, returning the chosen
-// row/X, the winning total cost, and the index of the window that
-// succeeded. It never commits — callers take the slot. Every legalization
-// path (full, basis recording, delta) funnels through this one decision
-// procedure, so their placements cannot diverge.
-func placeOne(free [][]geom.Interval, nRows int, rowH, cpp int64, targetRow int, tx, w int64) (row int, x, cost int64, wnd int, ok bool) {
-	for wi, window := range legalWindows {
+// row and X. It never commits — the caller takes the slot.
+func placeOne(free [][]geom.Interval, nRows int, rowH, cpp int64, targetRow int, tx, w int64) (row int, x int64, ok bool) {
+	for _, window := range legalWindows {
 		if window < 0 {
 			window = nRows
 		}
@@ -647,10 +642,10 @@ func placeOne(free [][]geom.Interval, nRows int, rowH, cpp int64, targetRow int,
 			}
 		}
 		if bestRow >= 0 {
-			return bestRow, bestX, bestCost, wi, true
+			return bestRow, bestX, true
 		}
 	}
-	return 0, 0, 0, 0, false
+	return 0, 0, false
 }
 
 // Legalize snaps every movable instance onto row sites without overlaps,
@@ -663,7 +658,7 @@ func Legalize(nl *netlist.Netlist, fp *floorplan.Plan, blockages map[int][]geom.
 	for _, inst := range legalOrder(nl) {
 		w := inst.Cell.WidthNm(fp.Stack)
 		targetRow := int(geom.Clamp64(inst.Pos.Y/rowH, 0, int64(len(fp.Rows)-1)))
-		row, x, _, _, ok := placeOne(free, len(fp.Rows), rowH, cpp, targetRow, inst.Pos.X, w)
+		row, x, ok := placeOne(free, len(fp.Rows), rowH, cpp, targetRow, inst.Pos.X, w)
 		if !ok {
 			return fmt.Errorf("place: cannot legalize %s (%d sites): placement violation",
 				inst.Name, inst.Cell.WidthCPP)
@@ -700,15 +695,6 @@ func probe(free []geom.Interval, target, w, cpp int64) (int64, int64, bool) {
 // take commits a slot previously returned by probe, splicing the free
 // list in place instead of rebuilding it.
 func take(free *[]geom.Interval, x, w int64) {
-	if !takeAt(free, x, w) {
-		panic("place: take without matching probe")
-	}
-}
-
-// takeAt is take reporting success instead of panicking: the delta
-// legalizer uses it to detect (impossible by construction, but gated
-// anyway) loss of a recorded slot and fall back to the full path.
-func takeAt(free *[]geom.Interval, x, w int64) bool {
 	f := *free
 	for i := range f {
 		iv := f[i]
@@ -728,9 +714,9 @@ func takeAt(free *[]geom.Interval, x, w int64) bool {
 		default:
 			*free = append(f[:i], f[i+1:]...)
 		}
-		return true
+		return
 	}
-	return false
+	panic("place: take without matching probe")
 }
 
 // allocate finds a site-aligned slot of width w in the free list closest
@@ -784,10 +770,9 @@ func CheckLegal(nl *netlist.Netlist, fp *floorplan.Plan, blockages map[int][]geo
 		lo, hi int64
 		seq    int32
 	}
-	// Counting layout into one flat arena, rows as sub-slices: the check
-	// runs once per delta legalization, so it avoids the per-row map and
-	// string traffic of the naive bucketing (names resolve from Seq only
-	// on the failure path).
+	// Counting layout into one flat arena, rows as sub-slices: no per-row
+	// map or string traffic (names resolve from Seq only on the failure
+	// path).
 	cnt := make([]int32, nRows+1)
 	for _, inst := range nl.Instances {
 		if inst.Fixed {
@@ -852,94 +837,19 @@ func Refine(nl *netlist.Netlist, fp *floorplan.Plan, blockages map[int][]geom.In
 // refinement leaves the placement legal (each completed slide preserves
 // legality) but callers treat it as unusable for determinism.
 func RefineCtx(ctx context.Context, nl *netlist.Netlist, fp *floorplan.Plan, blockages map[int][]geom.Interval, passes int) error {
-	return RefineRefsCtx(ctx, nl, fp, blockages, passes, CollectRefineRefs(nl), InstWidths(nl, fp))
-}
-
-// packRef encodes a refine endpoint as an int64: non-negative values are
-// an Instance.Seq, negative values are a bit-complemented Port.Seq. Only
-// the endpoint's X position feeds the slide median, so the pin name can
-// be dropped.
-func packRef(r netlist.PinRef) int64 {
-	if r.IsPort() {
-		return int64(^r.Port.Seq)
-	}
-	return int64(r.Inst.Seq)
-}
-
-// appendInstRefs appends inst's refine endpoints — the other endpoints of
-// its small nets (fanout ≤ 24) — to the arena in deterministic pin order.
-func appendInstRefs(arena []int64, inst *netlist.Instance) []int64 {
-	consider := func(n *netlist.Net) {
-		if n == nil || n.Fanout() > 24 {
-			return
-		}
-		if n.Driver != (netlist.PinRef{}) && n.Driver.Inst != inst {
-			arena = append(arena, packRef(n.Driver))
-		}
-		for _, s := range n.Sinks {
-			if s.Inst != inst {
-				arena = append(arena, packRef(s))
-			}
-		}
-	}
-	for pi := range inst.Cell.Inputs {
-		consider(inst.ConnAt(pi))
-	}
-	consider(inst.OutputNet())
-	return arena
-}
-
-// CollectRefineRefs gathers every movable instance's refine endpoints
-// into one flat arena (three allocations for the whole netlist instead of
-// one slice per instance) and returns per-instance views indexed by Seq.
-// Connectivity is static during refinement, so the refs are collected
-// once; only endpoint positions are re-read per pass. core.Flow retains
-// the result across forks (RefineBasis) and re-collects only the
-// instances CTS rewired.
-func CollectRefineRefs(nl *netlist.Netlist) [][]int64 {
-	refs := make([][]int64, len(nl.Instances))
-	ends := make([]int, len(nl.Instances))
-	arena := make([]int64, 0, 8*len(nl.Instances))
-	for _, inst := range nl.Instances {
-		if !inst.Fixed {
-			arena = appendInstRefs(arena, inst)
-		}
-		ends[inst.Seq] = len(arena)
-	}
-	start := 0
-	for seq, end := range ends {
-		refs[seq] = arena[start:end:end]
-		start = end
-	}
-	return refs
-}
-
-// InstWidths returns every instance's width in nm, indexed by Seq.
-func InstWidths(nl *netlist.Netlist, fp *floorplan.Plan) []int64 {
-	widths := make([]int64, len(nl.Instances))
-	for _, inst := range nl.Instances {
-		widths[inst.Seq] = inst.Cell.WidthNm(fp.Stack)
-	}
-	return widths
-}
-
-// RefineRefsCtx is the refinement core over pre-collected endpoint refs
-// (CollectRefineRefs) and widths (InstWidths), both indexed by
-// Instance.Seq. It produces exactly the slides RefineCtx does — the
-// median only depends on the endpoint multiset — while letting callers
-// retain the collection across repeated refinements of the same
-// connectivity.
-func RefineRefsCtx(ctx context.Context, nl *netlist.Netlist, fp *floorplan.Plan, blockages map[int][]geom.Interval, passes int, refs [][]int64, widths []int64) error {
 	rowH := fp.Stack.CellHeightNm()
 	nRows := len(fp.Rows)
 	rows := make([][]*netlist.Instance, nRows)
+	widths := make([]int64, len(nl.Instances))
 	for _, inst := range nl.Instances {
+		widths[inst.Seq] = inst.Cell.WidthNm(fp.Stack)
 		if inst.Fixed {
 			continue
 		}
 		ri := int(geom.Clamp64(inst.Pos.Y/rowH, 0, int64(nRows-1)))
 		rows[ri] = append(rows[ri], inst)
 	}
+	refs := collectRefineRefs(nl)
 	insts, ports := nl.Instances, nl.Ports
 	var xs []int64
 	desired := func(inst *netlist.Instance) int64 {
@@ -1064,6 +974,55 @@ func RefineRefsCtx(ctx context.Context, nl *netlist.Netlist, fp *floorplan.Plan,
 		}
 	}
 	return nil
+}
+
+// collectRefineRefs gathers every movable instance's refine endpoints —
+// the other endpoints of its small nets (fanout ≤ 24), in deterministic
+// pin order — into one flat arena (three allocations for the whole
+// netlist instead of one slice per instance) and returns per-instance
+// views indexed by Seq. Only an endpoint's X position feeds the slide
+// median, so each is packed as an int64: non-negative values are an
+// Instance.Seq, negative values a bit-complemented Port.Seq.
+// Connectivity is static during refinement, so the refs are collected
+// once; only endpoint positions are re-read per pass.
+func collectRefineRefs(nl *netlist.Netlist) [][]int64 {
+	refs := make([][]int64, len(nl.Instances))
+	ends := make([]int, len(nl.Instances))
+	arena := make([]int64, 0, 8*len(nl.Instances))
+	pack := func(r netlist.PinRef) int64 {
+		if r.IsPort() {
+			return int64(^r.Port.Seq)
+		}
+		return int64(r.Inst.Seq)
+	}
+	for _, inst := range nl.Instances {
+		consider := func(n *netlist.Net) {
+			if n == nil || n.Fanout() > 24 {
+				return
+			}
+			if n.Driver != (netlist.PinRef{}) && n.Driver.Inst != inst {
+				arena = append(arena, pack(n.Driver))
+			}
+			for _, s := range n.Sinks {
+				if s.Inst != inst {
+					arena = append(arena, pack(s))
+				}
+			}
+		}
+		if !inst.Fixed {
+			for pi := range inst.Cell.Inputs {
+				consider(inst.ConnAt(pi))
+			}
+			consider(inst.OutputNet())
+		}
+		ends[inst.Seq] = len(arena)
+	}
+	start := 0
+	for seq, end := range ends {
+		refs[seq] = arena[start:end:end]
+		start = end
+	}
+	return refs
 }
 
 // medianInt64 returns the (len/2)-th smallest element — the value a full

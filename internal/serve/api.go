@@ -44,7 +44,8 @@ type FlowSpec struct {
 // Config resolves the spec to the architecture and full flow config.
 // The config name is rendered from the config fields alone, so identical
 // specs — from any client — produce identical configs, results and
-// response bytes.
+// response bytes. The config's numeric fields pass core's
+// FlowConfig.Validate here, before any work is admitted.
 func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 	var arch tech.Arch
 	switch strings.ToUpper(sp.Arch) {
@@ -54,12 +55,6 @@ func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 		arch = tech.CFET
 	default:
 		return 0, core.FlowConfig{}, fmt.Errorf("serve: unknown arch %q (want FFET or CFET)", sp.Arch)
-	}
-	if sp.TargetGHz <= 0 {
-		return 0, core.FlowConfig{}, fmt.Errorf("serve: target_ghz must be > 0")
-	}
-	if sp.Util <= 0 {
-		return 0, core.FlowConfig{}, fmt.Errorf("serve: util must be > 0")
 	}
 	if sp.Front <= 0 {
 		return 0, core.FlowConfig{}, fmt.Errorf("serve: front metal count must be > 0")
@@ -78,6 +73,9 @@ func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 	cfg.Name = fmt.Sprintf("%s-F%dB%d-t%.3g-u%.3g-a%.3g-bp%.3g-s%d",
 		arch, cfg.Pattern.Front, cfg.Pattern.Back, cfg.TargetFreqGHz,
 		cfg.Utilization, cfg.AspectRatio, cfg.BackPinFraction, cfg.Seed)
+	if err := cfg.Validate(); err != nil {
+		return 0, core.FlowConfig{}, err
+	}
 	return arch, cfg, nil
 }
 

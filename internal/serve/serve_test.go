@@ -666,6 +666,9 @@ func TestInvalidRequests(t *testing.T) {
 		{"/v1/flow", `{"front":4,"target_ghz":0,"util":0.7}`},
 		{"/v1/flow", `{"front":4,"target_ghz":1.4,"util":0.7,"arch":"GAA"}`},
 		{"/v1/flow", `{"front":4,"target_ghz":1.4,"util":0.7,"bogus":1}`},
+		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":1.5}`},
+		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":0.7,"back_pins":1.5}`},
+		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":0.7,"back_pins":-0.2}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"nm","values":[1]}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"util","values":[]}`},
 	}
