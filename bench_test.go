@@ -341,9 +341,15 @@ func BenchmarkSweepFreqIncremental(b *testing.B) {
 
 // BenchmarkFlowSingleRun measures one complete physical implementation +
 // PPA flow on the quick-scale core (the unit of work behind every figure).
-// Each iteration varies the seed so memoization never short-circuits it.
+// Each iteration varies the seed, and each call builds its own suite (the
+// shared one's result memo would answer the seeds of an earlier -count
+// repeat), so memoization never short-circuits it.
 func BenchmarkFlowSingleRun(b *testing.B) {
-	s := getSuite(b)
+	s, err := exp.NewSuite(exp.Quick)
+	if err != nil {
+		b.Fatalf("suite: %v", err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.72)
 		cfg.BackPinFraction = 0.5
