@@ -205,80 +205,15 @@ func BenchmarkSweepShared(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepIncrementalSTA measures the incremental re-timing path on
-// the same back-pin DoE BenchmarkSweepShared runs: "incremental" runs the
-// first point through the whole pipeline once and forks every other point
-// off that completed session, so each sibling inherits the leader's
-// post-STA engine + RC baseline and re-propagates only the timing cones
-// its partition delta dirtied; "fullSTA" forks the same points off a
-// parent stopped at StageCTS (PR 4's BenchmarkSweepShared/forked shape),
-// so every point rebuilds an engine and re-times the whole design.
-// Results are bit-identical between the two; the incremental sweep must
-// show fewer allocs/op and less wall-clock per sweep.
-func BenchmarkSweepIncrementalSTA(b *testing.B) {
-	s := getSuite(b)
-	nl, _, err := riscv.Generate(s.FFET, riscv.Config{Name: "rv32inc", Registers: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bps := []float64{0.5, 0.4, 0.3, 0.16, 0.04}
-	base := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
-	base.BackPinFraction = bps[0]
-
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			leader, err := core.NewFlow(nl, base)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := leader.Run(); err != nil {
-				b.Fatal(err)
-			}
-			for _, bp := range bps[1:] {
-				g, err := leader.Fork(func(c *core.FlowConfig) { c.BackPinFraction = bp })
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := g.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("fullSTA", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f, err := core.NewFlow(nl, base)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := f.RunTo(core.StageCTS); err != nil {
-				b.Fatal(err)
-			}
-			for _, bp := range bps {
-				g, err := f.Fork(func(c *core.FlowConfig) { c.BackPinFraction = bp })
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := g.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkSweepFreqIncremental measures the frequency-axis diff-chain
 // path on a dense 5-point target sweep (the Fig. 9 power/frequency axis
 // sampled finely around one operating point): "diffchain" runs the first
 // point through the whole pipeline once and walks to each neighboring
 // target via core.Flow.ForkSynthDiff — the hop re-synthesizes at its own
-// target (the unavoidable cost), then re-stamps the neighbor's placement
-// and adopts its partition/route/STA state wherever the netlist diff
-// gates hold; "forkAtSynth" forks every later point off the first
-// completed session at StageSynth, re-running the entire back end per
-// point (the pre-diff sweep shape). Results are bit-identical between
+// target (the unavoidable cost), then re-stamps the neighbor's global
+// placement and runs CTS onward; "forkAtSynth" forks every later point
+// off the first completed session at StageSynth, re-running the entire
+// back end per point (the pre-diff sweep shape). Results are bit-identical between
 // the two (pinned by core.TestSynthDiffForkMatchesScratch); the chained
 // sweep must show materially less wall-clock per sweep.
 func BenchmarkSweepFreqIncremental(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/cell"
@@ -27,11 +28,31 @@ func main() {
 	backPins := flag.Float64("backpins", 0.5, "backside input pin density ratio")
 	regs := flag.Int("regs", 16, "architectural registers (8/16/32)")
 	samples := flag.Int("samples", 0, "Monte Carlo samples (0 = default)")
-	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS; capped at GOMAXPROCS)")
 	seed := flag.Uint64("seed", 0, "PRNG seed (0 = default)")
 	sigma := flag.Float64("sigma", 0, "per-side overlay sigma in nm (0 = default)")
 	floor := flag.Float64("floor", 0, "screening floor in fF (0 = default)")
 	flag.Parse()
+
+	opt := variation.DefaultOptions()
+	if *samples != 0 {
+		opt.Samples = *samples
+	}
+	if *workers != 0 {
+		opt.Workers = *workers
+	}
+	if *seed != 0 {
+		opt.Seed = *seed
+	}
+	if *sigma != 0 {
+		opt.SigmaNm = *sigma
+	}
+	if *floor != 0 {
+		opt.FloorFF = *floor
+	}
+	if err := opt.Validate(); err != nil {
+		log.Fatal(err)
+	}
 
 	// SIGINT/SIGTERM cancel both the flow and the sampling loop; a
 	// cancelled run exits non-zero.
@@ -62,22 +83,6 @@ func main() {
 	}
 	flowDur := time.Since(t0)
 
-	opt := variation.DefaultOptions()
-	if *samples > 0 {
-		opt.Samples = *samples
-	}
-	if *workers > 0 {
-		opt.Workers = *workers
-	}
-	if *seed != 0 {
-		opt.Seed = *seed
-	}
-	if *sigma > 0 {
-		opt.SigmaNm = *sigma
-	}
-	if *floor > 0 {
-		opt.FloorFF = *floor
-	}
 	t1 := time.Now()
 	sum, err := variation.Study(ctx, basis, opt)
 	if err != nil {
@@ -92,7 +97,7 @@ func main() {
 		opt.SigmaNm, opt.CapSensPerNm, opt.ParasiticSigma, opt.FloorFF, opt.Seed)
 	fmt.Printf("%d samples in %s (%.0f samples/sec, %d workers)\n",
 		sum.Samples, mcDur.Round(time.Millisecond),
-		float64(sum.Samples)/mcDur.Seconds(), opt.Workers)
+		float64(sum.Samples)/mcDur.Seconds(), min(opt.Workers, runtime.GOMAXPROCS(0)))
 	fmt.Printf("WNS ps: mean=%.2f sigma=%.2f P50=%.2f P95=%.2f P99.7=%.2f\n",
 		sum.MeanWNSPs, sum.SigmaWNSPs, sum.P50WNSPs, sum.P95WNSPs, sum.P997WNSPs)
 	fmt.Printf("TNS ps: mean=%.2f sigma=%.2f P50=%.2f P95=%.2f P99.7=%.2f\n",

@@ -27,8 +27,9 @@
 //	res, _ := ffet.RunFlow(nl, cfg)
 //	fmt.Println(res.AchievedFreqGHz, res.PowerUW)
 //
-// Staged sessions make parameter sweeps near-incremental: run the shared
-// prefix once, fork at the divergence stage:
+// Staged sessions share a sweep's common work: run the shared prefix
+// once, then fork each point off it. A fork inherits the finished stages
+// its config delta leaves intact and re-runs the rest:
 //
 //	f, _ := ffet.NewFlow(nl, cfg)
 //	f.RunTo(ffet.StageCTS) // synth + floorplan + powerplan + place + CTS
@@ -140,7 +141,8 @@ func NewFFETLibrary() *Library { return cell.NewLibrary(tech.NewFFET()) }
 // NewCFETLibrary generates and characterizes the 28-cell CFET library.
 func NewCFETLibrary() *Library { return cell.NewLibrary(tech.NewCFET()) }
 
-// GenerateRV32 builds the gate-level RISC-V benchmark core over a library.
+// GenerateRV32 builds the gate-level RISC-V benchmark core over a
+// library. Registers must be 8, 16 or 32; any other count is an error.
 func GenerateRV32(lib *Library, cfg RV32Config) (*Netlist, *CoreInfo, error) {
 	return riscv.Generate(lib, cfg)
 }

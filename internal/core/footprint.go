@@ -12,8 +12,7 @@ import (
 // FootprintBytes estimates the bytes of heap state this session retains
 // as its checkpoint: the working netlist and its stage-boundary
 // snapshots, the floorplan/powerplan/CTS/partition/routing/extraction
-// artifacts, the incremental STA engine with its RC baseline, and the
-// result.
+// artifacts, the timing engine, and the result.
 //
 // The estimate is an accounting sum for cache budgeting (allocator slack
 // and map overhead approximated), deterministic for a quiescent session.
@@ -52,23 +51,12 @@ func (f *Flow) FootprintBytes() int64 {
 	b += f.backRes.FootprintBytes()
 
 	b += extract.FootprintBytes(f.netRC)
-	if len(f.baseRC) > 0 && !sameRCSlice(f.baseRC, f.netRC) {
-		b += extract.FootprintBytes(f.baseRC)
-	}
 	b += f.staEng.FootprintBytes()
-	b += int64(len(f.dirtyRC)) * int64(unsafe.Sizeof(int32(0)))
 
 	if f.res != nil {
 		b += int64(unsafe.Sizeof(*f.res))
 	}
 	return b
-}
-
-// sameRCSlice reports whether two RC tables are the same backing slice
-// (the session's own post-STA view aliases netRC as baseRC; a forked
-// child's baseRC is the parent's table and must be counted).
-func sameRCSlice(a, b []*extract.NetRC) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 func (pa *PinAssignment) footprintBytes() int64 {

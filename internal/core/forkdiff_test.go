@@ -71,14 +71,10 @@ func TestSynthDiffForkMatchesScratch(t *testing.T) {
 	parent := completedFlow(t, cfg, "riscv")
 
 	t.Run("degenerate_resize_free", func(t *testing.T) {
-		// Tiny re-target: synthesis re-runs but picks identical drives;
-		// the whole back end is adopted.
+		// Tiny re-target: synthesis re-runs but picks identical drives.
 		_, st := diffVsScratch(t, parent, func(c *FlowConfig) { c.TargetFreqGHz = 2.005 })
 		if !st.DiffPath || st.Resized != 0 {
 			t.Errorf("want resize-free diff path, got %+v", st)
-		}
-		if !st.PartitionPatched || !st.RouteAdoptedFront || !st.RouteAdoptedBack || !st.STARestamped {
-			t.Errorf("resize-free diff should adopt everything: %+v", st)
 		}
 	})
 
@@ -90,8 +86,8 @@ func TestSynthDiffForkMatchesScratch(t *testing.T) {
 				t.Errorf("tgt %v: expected diff path, fell back: %q", tgt, st.Fallback)
 				continue
 			}
-			if st.Resized == 0 || !st.PartitionPatched || !st.STARestamped {
-				t.Errorf("tgt %v: expected resized diff with patched partition + restamped STA: %+v", tgt, st)
+			if st.Resized == 0 {
+				t.Errorf("tgt %v: expected a resized diff: %+v", tgt, st)
 			}
 			chained = child
 		}
@@ -148,9 +144,9 @@ func defaultSynthWith(tgt float64, maxFanout int) synth.Options {
 	return o
 }
 
-// TestSynthDiffForkFaultFallback drives an injected fault into each
-// diff/patch boundary and requires the run to degrade to the equivalent
-// full computation with bit-identical artifacts.
+// TestSynthDiffForkFaultFallback drives an injected fault into each diff
+// gate and requires the run to degrade to the full pipeline with
+// bit-identical artifacts.
 func TestSynthDiffForkFaultFallback(t *testing.T) {
 	cfg := DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 2.0, 0.70)
 	cfg.BackPinFraction = 0.5
@@ -169,21 +165,6 @@ func TestSynthDiffForkFaultFallback(t *testing.T) {
 		{"core.forkdiff.place", func(t *testing.T, st *SynthDiffStats) {
 			if st.DiffPath || st.Fallback == "" {
 				t.Errorf("place-gate fault must force fallback: %+v", st)
-			}
-		}},
-		{"core.partition.patch", func(t *testing.T, st *SynthDiffStats) {
-			if !st.DiffPath || st.PartitionPatched {
-				t.Errorf("partition fault must run the full partition on the diff path: %+v", st)
-			}
-		}},
-		{"core.route.adopt", func(t *testing.T, st *SynthDiffStats) {
-			if !st.DiffPath || st.RouteAdoptedFront || st.RouteAdoptedBack {
-				t.Errorf("route fault must re-route both sides: %+v", st)
-			}
-		}},
-		{"core.sta.restamp", func(t *testing.T, st *SynthDiffStats) {
-			if !st.DiffPath || st.STARestamped {
-				t.Errorf("restamp fault must rebuild the engine: %+v", st)
 			}
 		}},
 	}

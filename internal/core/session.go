@@ -190,31 +190,10 @@ type Flow struct {
 	frontRes  *route.Result
 	backRes   *route.Result
 	netRC     []*extract.NetRC
-
-	// Incremental STA state. staEng is the session's timing engine,
-	// persisted as part of the StageSTA checkpoint: once this session's
-	// STA has run, forked children that resume at StagePartition or later
-	// (the netlist is shared read-only from there on, so the engine's
-	// graph tables stay valid) inherit a Fork of it plus the RC database
-	// it was timed against, and re-propagate only the cones their config
-	// delta actually dirtied. Each child gets its own clone of the
-	// engine's mutable arrival state, so concurrent forked children never
-	// share engine scratch.
+	// staEng is StageSTA's timing engine, holding the propagation state
+	// of the analysis over netRC; VariationBasis hands it to Monte Carlo
+	// studies, which fork it per worker.
 	staEng *sta.Engine
-	// baseRC is the extraction database staEng's retained state was
-	// computed under (the parent's post-STA view for a forked child; this
-	// session's own view once its STA has run).
-	baseRC []*extract.NetRC
-	// dirtyRC lists the net Seqs whose re-extracted view differs from
-	// baseRC; valid only when haveDirty is set (an empty dirty set is
-	// meaningful — it means no cone needs re-timing at all).
-	dirtyRC   []int32
-	haveDirty bool
-
-	// diff carries the parent artifacts a synth-diff fork stages for
-	// adoption (see ForkSynthDiff); nil on every other session. Cleared at
-	// the end of StageSTA so diff chains do not retain their ancestors.
-	diff *synthDiffState
 }
 
 // NewFlow opens a staged flow session over a technology-mapped netlist.
@@ -305,14 +284,15 @@ func (f *Flow) RouteResult(side tech.Side) *route.Result {
 // study forks it per worker — extraction is never re-run), the RC view
 // its state was computed under, the analysis conditions, the target
 // period, and the per-net per-side routed lengths that weight the two
-// overlay axes. The session must have completed StageSTA on a valid run;
-// the basis borrows session state, so the session must not be re-run or
-// forked-and-analyzed while a sampler is being built from it.
+// overlay axes. The session must have completed StageSTA on a valid run.
+// The basis borrows session state that nothing mutates after StageSTA —
+// a child forked after StageSTA shares the same engine — so samplers may
+// be built from a session and its forks concurrently.
 func (f *Flow) VariationBasis() (*variation.Basis, error) {
 	if !f.Done(StageSTA) || f.Halted() {
 		return nil, fmt.Errorf("core: variation basis needs a valid session past StageSTA")
 	}
-	if f.staEng == nil || f.baseRC == nil {
+	if f.staEng == nil {
 		return nil, fmt.Errorf("core: session has no retained timing basis")
 	}
 	staOpt := f.cfg.STA
@@ -331,7 +311,7 @@ func (f *Flow) VariationBasis() (*variation.Basis, error) {
 	}
 	return &variation.Basis{
 		Engine:         f.staEng,
-		NetRC:          f.baseRC,
+		NetRC:          f.netRC,
 		ClockArrivalPs: f.ctsRes.ArrivalPs,
 		STAOpt:         staOpt,
 		PeriodPs:       1000.0 / f.cfg.TargetFreqGHz,
@@ -618,33 +598,8 @@ func (f *Flow) Fork(mutate func(*FlowConfig)) (*Flow, error) {
 	if resume > StageExtract {
 		child.netRC = f.netRC
 	}
-	// Incremental STA basis: once this session holds a timed state
-	// (its own StageSTA ran, or it inherited a basis it hasn't re-timed
-	// yet), a child resuming at StagePartition or later shares the same
-	// netlist, so the engine's graph tables are valid for it — hand it a
-	// clone of the propagation state plus the RC view that state was
-	// computed under. That view is baseRC, not netRC: a session forked
-	// between StageExtract and StageSTA has re-extracted (netRC is new)
-	// without re-timing, and diffing against the newer view would let
-	// stale cones survive. The child's StageExtract diffs its
-	// re-extracted view against baseRC and StageSTA re-times only the
-	// dirty cones. (Children resuming earlier get a netlist snapshot of
-	// their own; the engine is bound to the parent's instances and must
-	// not carry over.)
-	if resume >= StagePartition && f.staEng != nil && f.baseRC != nil {
-		// Only a child that will actually re-time (it resumes at or
-		// before StageSTA and isn't halted) mutates its engine, so only
-		// it pays for a clone of the propagation state. Every other
-		// child shares the parent's engine read-only: its own StageSTA
-		// never runs (an engine is mutated solely by its owning
-		// session's StageSTA, which executes at most once), and it only
-		// passes the state on to its own forks.
-		if resume <= StageSTA && !child.halted {
-			child.staEng = f.staEng.Fork()
-		} else {
-			child.staEng = f.staEng
-		}
-		child.baseRC = f.baseRC
+	if resume > StageSTA {
+		child.staEng = f.staEng
 	}
 	f.mu.Unlock()
 
@@ -822,18 +777,9 @@ func (f *Flow) stagePartition() error {
 	}
 	f.pa = pa
 	pinAt := func(ref netlist.PinRef) geom.Point { return pinLocation(ref, f.fp) }
-	var sides *SideNets
-	if d := f.diff; d != nil {
-		if sides = d.tryPatchPartition(f, pa, pinAt); sides != nil {
-			d.stats.PartitionPatched = true
-		}
-	}
-	if sides == nil {
-		var err error
-		sides, err = Partition(f.work, pa, f.cfg.Pattern, pinAt)
-		if err != nil {
-			return err
-		}
+	sides, err := Partition(f.work, pa, f.cfg.Pattern, pinAt)
+	if err != nil {
+		return err
 	}
 	f.sides = sides
 	f.res.PinStats = sides.Stats()
@@ -876,25 +822,11 @@ func (f *Flow) stageRoute() error {
 		}
 		*out, *errOut = r.RunCtx(ctx, nets)
 	}
-	// A synth-diff fork adopts the parent's routed result wholesale for a
-	// side whose routing computation is provably unchanged (see
-	// tryAdoptRoute); only non-adopted sides run the router.
-	adoptedFront, adoptedBack := false, false
-	if d := f.diff; d != nil {
-		if res, ok := d.tryAdoptRoute(f, tech.Front, f.sides.Front, ropt); ok {
-			frontRes, adoptedFront = res, true
-			d.stats.RouteAdoptedFront = true
-		}
-		if res, ok := d.tryAdoptRoute(f, tech.Back, f.sides.Back, ropt); ok {
-			backRes, adoptedBack = res, true
-			d.stats.RouteAdoptedBack = true
-		}
-	}
-	if len(f.sides.Front) > 0 && !adoptedFront {
+	if len(f.sides.Front) > 0 {
 		wg.Add(1)
 		go runSide(tech.Front, f.sides.Front, &frontRes, &frontErr)
 	}
-	if len(f.sides.Back) > 0 && !adoptedBack {
+	if len(f.sides.Back) > 0 {
 		wg.Add(1)
 		go runSide(tech.Back, f.sides.Back, &backRes, &backErr)
 	}
@@ -961,90 +893,31 @@ func (f *Flow) stageExtract() error {
 		netRC[n.Seq] = &rcStore[n.Seq]
 	}
 	f.netRC = netRC
-	// Report the changed-net set against the inherited timing basis:
-	// nets whose re-extracted view is bit-identical to the parent's are
-	// clean and their cones keep the parent's arrivals; everything else
-	// is dirty and gets re-propagated at StageSTA.
-	if f.baseRC != nil {
-		f.dirtyRC = extract.DiffRC(f.dirtyRC[:0], f.baseRC, netRC)
-		if d := f.diff; d != nil && len(d.changedNets) > 0 {
-			// A resized driver can leave its output net's RC bit-identical
-			// while its own delay arcs changed; seed the dirty set with the
-			// diff's changed nets so Reanalyze re-evaluates those cones too.
-			seen := make([]bool, len(work.Nets))
-			for _, s := range f.dirtyRC {
-				seen[s] = true
-			}
-			for _, s := range d.changedNets {
-				if int(s) < len(seen) && !seen[s] {
-					f.dirtyRC = append(f.dirtyRC, s)
-				}
-			}
-		}
-		f.haveDirty = true
-	}
 	return nil
 }
 
-// stageSTA analyzes timing over the extracted RC database. A session that
-// inherited a timing basis from its fork parent re-propagates only the
-// cones of nets whose RC changed (sta.Engine.Reanalyze); everything else
-// — including a session whose basis didn't survive the fork, or whose STA
-// options diverged — runs the full propagation. Both paths produce
-// bit-identical results; the incremental one just skips work.
+// stageSTA analyzes timing over the extracted RC database.
 func (f *Flow) stageSTA() error {
 	staOpt := f.cfg.STA
 	if staOpt.InputSlewPs == 0 {
 		staOpt = sta.DefaultOptions()
 	}
-	eng := f.staEng
-	if eng == nil && f.diff != nil && f.diff.eng != nil {
-		// Synth-diff fork: re-stamp the parent's engine over the child's
-		// netlist (same graph shape by SeqStable; resized instances get
-		// fresh arc rows) so the parent's arrival state seeds Reanalyze.
-		// Any restamp failure just builds a fresh engine, whose analysis
-		// runs the full propagation — bit-identical either way.
-		if faultinject.Fire("core.sta.restamp") == nil {
-			if e2, err := f.diff.eng.ForkRestamped(f.work, f.diff.resized); err == nil {
-				eng = e2
-				f.diff.stats.STARestamped = true
-			}
-		}
-	}
-	if eng == nil {
-		var err error
-		if eng, err = sta.NewEngine(f.work); err != nil {
-			return err
-		}
-	}
-	in := sta.Input{
-		NetRC:          f.netRC,
-		ClockArrivalPs: f.ctsRes.ArrivalPs,
+	eng, err := sta.NewEngine(f.work)
+	if err != nil {
+		return err
 	}
 	// Analyze directly into a detached Result: FlowResults are memoized
 	// by exp.Suite, so the stored Result must not alias the Engine's
 	// reusable storage.
 	staRes := &sta.Result{}
-	ctx := f.stageCtx()
-	var err error
-	if f.haveDirty {
-		err = eng.ReanalyzeIntoCtx(ctx, staRes, in, staOpt, f.dirtyRC)
-	} else {
-		err = eng.AnalyzeIntoCtx(ctx, staRes, in, staOpt)
-	}
-	if err != nil {
+	in := sta.Input{NetRC: f.netRC, ClockArrivalPs: f.ctsRes.ArrivalPs}
+	if err := eng.AnalyzeIntoCtx(f.stageCtx(), staRes, in, staOpt); err != nil {
 		return err
 	}
-	// The engine now holds this session's post-STA state over f.netRC:
-	// persist both as the StageSTA checkpoint future forks seed from.
 	f.staEng = eng
-	f.baseRC = f.netRC
 	f.res.STA = staRes
 	f.res.MinPeriodPs = staRes.MinPeriodPs
 	f.res.AchievedFreqGHz = staRes.AchievedFreqGHz
-	// The diff state has served every adopting stage; drop it so a chain
-	// of diff forks does not retain each ancestor's netlist and routing.
-	f.diff = nil
 	return nil
 }
 

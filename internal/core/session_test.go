@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/cts"
 	"repro/internal/def"
+	"repro/internal/power"
 	"repro/internal/tech"
+	"repro/internal/variation"
 )
 
 // TestFlowRunToMatchesGolden drives the staged pipeline checkpoint by
@@ -101,6 +105,12 @@ var forkCases = []forkCase{
 	{"cts", func(c *FlowConfig) { c.CTS = cts.Options{MaxLeafFanout: 12, BufferDrive: 4} }, StageCTS},
 	{"target", func(c *FlowConfig) { c.TargetFreqGHz = 2.0 }, StageSynth},
 	{"maxdrvs", func(c *FlowConfig) { c.MaxDRVs = 1 }, StageRoute},
+	// Resuming after StageSTA shares the parent's timing engine read-only,
+	// which must still serve as a Monte Carlo basis.
+	{"power", func(c *FlowConfig) {
+		c.Power = power.DefaultOptions()
+		c.Power.Activity = 0.21
+	}, StagePower},
 	{"identity", func(c *FlowConfig) { c.Name = "renamed" }, Stage(NumStages)},
 }
 
@@ -145,6 +155,9 @@ func TestFlowForkMatchesScratch(t *testing.T) {
 			if _, err := child.Run(); err != nil {
 				t.Fatal(err)
 			}
+			if fc.resume == StagePower {
+				checkSharedVariationBasis(t, parent, child)
+			}
 
 			scratchCfg := base
 			fc.mutate(&scratchCfg)
@@ -153,6 +166,36 @@ func TestFlowForkMatchesScratch(t *testing.T) {
 				t.Errorf("forked run differs from scratch run:\n--- scratch\n%s--- forked\n%s", wa, ga)
 			}
 		})
+	}
+}
+
+// checkSharedVariationBasis requires a child forked after StageSTA to
+// hand out the parent's engine and RC view as its Monte Carlo basis, and
+// a study over it to match the parent's own.
+func checkSharedVariationBasis(t *testing.T, parent, child *Flow) {
+	t.Helper()
+	cb, err := child.VariationBasis()
+	if err != nil {
+		t.Fatalf("VariationBasis on a post-STA fork: %v", err)
+	}
+	pb, err := parent.VariationBasis()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb.Engine != pb.Engine || &cb.NetRC[0] != &pb.NetRC[0] {
+		t.Fatal("post-STA fork must share the parent's engine and RC view")
+	}
+	opt := variation.Options{Samples: 64, Workers: 1, Seed: 3}
+	cs, err := variation.Study(context.Background(), cb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := variation.Study(context.Background(), pb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cs, ps) {
+		t.Errorf("study over the fork's basis differs from the parent's:\n%+v\n%+v", cs, ps)
 	}
 }
 

@@ -7,10 +7,11 @@
 // pure planner PlanSweep (dedupe by MemoKey, group by PrefixClass, chain
 // groups along the synthesis target) and the executor Suite.Execute
 // (leaders diff-fork their chain predecessor or fork the class prefix,
-// siblings fork the completed leader, roots and prefixes are built once
-// per call). The batch tables run it with no checkpoint store and retain
-// nothing staged across calls; the serve daemon runs it over a Store,
-// the byte-bounded cross-call checkpoint LRU.
+// siblings fork the class prefix alongside their leader, roots and
+// prefixes are built once per call). The batch tables run it with no
+// checkpoint store and retain nothing staged across calls; the serve
+// daemon runs it over a Store, the byte-bounded cross-call checkpoint
+// LRU.
 package exp
 
 import (

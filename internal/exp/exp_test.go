@@ -192,11 +192,10 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // sweepTable renders a Fig11-style table over a mixed
 // utilization × back-pin-fraction × arch sweep — points sharing a synth
 // prefix, points sharing a placed-and-clocked prefix, and a lone CFET
-// point — exercising every level of the fork tree, including the
-// incremental re-timing paths: back-pin deltas (dirty cones), a
-// validity-threshold delta whose re-route extracts bit-identically (empty
-// dirty set), and an STA-option delta (inherited engine must fall back to
-// a full pass under the new options).
+// point — exercising every level of the fork tree. The siblings of the
+// 70% group carry a back-pin delta, a validity-threshold delta (MaxDRVs)
+// and an STA-option delta; each forks the group's prefix alongside the
+// leader and runs partition onward.
 func sweepTable(t *testing.T, s *Suite) *Table {
 	t.Helper()
 	var specs []Spec
@@ -251,22 +250,31 @@ func TestForkedSweepMatchesScratch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-flow sweep in -short mode")
 	}
-	render := func(disableSharing bool) (string, string) {
+	render := func(disableSharing bool) (string, string, Report) {
 		s := quickSuite(t)
 		s.DisablePrefixSharing = disableSharing
 		tab := sweepTable(t, s)
 		var buf bytes.Buffer
 		tab.Print(&buf)
-		return buf.String(), tab.CSV()
+		return buf.String(), tab.CSV(), s.Stats().Report
 	}
-	scratchTxt, scratchCSV := render(true)
-	forkedTxt, forkedCSV := render(false)
+	scratchTxt, scratchCSV, _ := render(true)
+	forkedTxt, forkedCSV, rep := render(false)
 	if scratchTxt != forkedTxt {
 		t.Errorf("forked sweep table diverges from scratch:\n--- scratch\n%s--- forked\n%s",
 			scratchTxt, forkedTxt)
 	}
 	if scratchCSV != forkedCSV {
 		t.Errorf("forked sweep CSV diverges from scratch")
+	}
+	// Three prefix groups (FFET at 70% and 72% utilization, CFET): each
+	// builds its prefix once and its other points — three at 70%, one at
+	// 72% — fork that prefix alongside the leader. All three leaders
+	// synthesize from their prefix; one target means no diff hop. The two
+	// FFET prefixes share one synthesis root.
+	want := Report{PrefixMisses: 3, PrefixHits: 4, FullSynthForks: 3, SynthRootMisses: 2, SynthRootHits: 1}
+	if rep != want {
+		t.Errorf("sweep report = %+v, want %+v", rep, want)
 	}
 }
 

@@ -169,14 +169,13 @@ type Exec struct {
 // Execute runs a plan. Each chain runs its groups in target order. A
 // group's leader forks its chain predecessor's completed leader through
 // the synth-diff path (core.Flow.ForkSynthDiff) or, with no predecessor
-// or on a hard fork failure, the class prefix. Siblings fork the
-// completed leader, inheriting its timing engine so each re-times only
-// the cones its delta dirtied; when the leader died they fork the prefix
-// instead. Synthesis roots and prefixes are plan nodes, built at most
-// once per call by the first point that needs one, under the class's
-// neutral config (SynthClass.RootConfig, PrefixClass.Config) so a node
-// never depends on which point built it. A root lives for the call, a
-// prefix only as long as its group's points.
+// or on a hard fork failure, the class prefix. Siblings start alongside
+// their leader and fork the class prefix, so no point waits for another
+// point's flow. Synthesis roots and prefixes are plan nodes, built at
+// most once per call by the first point that needs one, under the
+// class's neutral config (SynthClass.RootConfig, PrefixClass.Config) so
+// a node never depends on which point built it. A root lives for the
+// call, a prefix only as long as its group's points.
 //
 // Failures are contained per point: a dead point (hard error, contained
 // panic, cancellation) reports its classified error while its siblings
@@ -207,11 +206,10 @@ func (s *Suite) Execute(plan *Plan, x Exec) Report {
 					// The group's prefix node lives only as long as the
 					// group's points: nothing staged outlives its use.
 					pn := &node{}
-					leader := e.leader(g, pn, prev)
 					for _, p := range g.Points[1:] {
-						spawn(func() { e.sibling(g, pn, p, leader) })
+						spawn(func() { e.sibling(g, pn, p) })
 					}
-					prev = leader
+					prev = e.leader(g, pn, prev)
 				}
 			})
 		}
@@ -289,8 +287,9 @@ func (e *executor) scratch(p int) {
 }
 
 // leader runs group g's first point off prev (the chain predecessor's
-// completed leader, or nil), or else off the group's prefix node pn, and
-// returns its completed session.
+// completed leader, or nil), or else off the group's prefix node pn —
+// which the group's siblings fork meanwhile — and returns its completed
+// session, the next group's prev.
 func (e *executor) leader(g *Group, pn *node, prev *core.Flow) *core.Flow {
 	p := g.Points[0]
 	return e.unit(p, "exp.leader", func(cfg core.FlowConfig) (*core.FlowResult, *core.Flow, error) {
@@ -308,26 +307,23 @@ func (e *executor) leader(g *Group, pn *node, prev *core.Flow) *core.Flow {
 			}
 		}
 		e.count(&e.rep.FullSynthForks)
-		return e.forkDrive(p, cfg, nil, g.Class, pn)
+		return e.forkDrive(p, cfg, g.Class, pn)
 	})
 }
 
-// sibling runs point p of group g off the group's completed leader, or
-// off the prefix node pn when the leader died.
-func (e *executor) sibling(g *Group, pn *node, p int, leader *core.Flow) {
+// sibling runs point p of group g off the prefix node pn.
+func (e *executor) sibling(g *Group, pn *node, p int) {
 	e.unit(p, "exp.leaf", func(cfg core.FlowConfig) (*core.FlowResult, *core.Flow, error) {
-		return e.forkDrive(p, cfg, leader, g.Class, pn)
+		return e.forkDrive(p, cfg, g.Class, pn)
 	})
 }
 
-// forkDrive forks base (class pc's prefix, node pn, when nil) under cfg
-// and drives the fork to completion.
-func (e *executor) forkDrive(p int, cfg core.FlowConfig, base *core.Flow, pc PrefixClass, pn *node) (*core.FlowResult, *core.Flow, error) {
-	if base == nil {
-		var err error
-		if base, err = e.prefix(p, pc, pn); err != nil {
-			return nil, nil, err
-		}
+// forkDrive forks class pc's prefix, node pn, under cfg and drives the
+// fork to completion.
+func (e *executor) forkDrive(p int, cfg core.FlowConfig, pc PrefixClass, pn *node) (*core.FlowResult, *core.Flow, error) {
+	base, err := e.prefix(p, pc, pn)
+	if err != nil {
+		return nil, nil, err
 	}
 	f, err := base.Fork(func(c *core.FlowConfig) { *c = cfg })
 	if err != nil {

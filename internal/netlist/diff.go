@@ -4,13 +4,11 @@
 // and net creation order — and therefore Seq — usually coincide, and only
 // the sizing pass picked different drive variants. Diff establishes that
 // correspondence (or reports that it does not hold) so the staged flow
-// can fork a sweep point off its completed neighbor and patch only what
-// the resizes touched instead of re-running the whole back end.
+// can fork a sweep point off its completed neighbor instead of re-running
+// global placement.
 package netlist
 
-// NetlistDiff is the result of Diff: the changed-instance and changed-net
-// sets between two netlists, with a stable Seq correspondence for the
-// unchanged majority when one exists.
+// NetlistDiff is the result of Diff.
 type NetlistDiff struct {
 	// SeqStable reports that the two netlists are structurally identical —
 	// same instances, nets, ports, connectivity and ordering at every Seq —
@@ -18,33 +16,11 @@ type NetlistDiff struct {
 	// STA tables) then corresponds one-to-one between them.
 	SeqStable bool
 
-	// Resized lists the Seqs of matched instances whose cell changed (always
-	// a drive change of the same base when SeqStable). Sorted ascending.
+	// Resized lists the Seqs of instances whose cell changed (always a
+	// drive change of the same base), sorted ascending; empty unless
+	// SeqStable.
 	Resized []int32
-
-	// ChangedNets lists the Seqs (in b) of nets whose physical content can
-	// differ: any endpoint instance resized or rewired, plus — when the
-	// correspondence broke — inserted nets and nets with changed endpoint
-	// sets. Sorted ascending.
-	ChangedNets []int32
-
-	// InsertedB / RemovedA list instance Seqs present only in b / only in a
-	// (inserted or removed buffer trees). Empty when SeqStable.
-	InsertedB []int32
-	RemovedA  []int32
-
-	// RewiredB lists Seqs (in b) of name-matched instances whose pin→net
-	// connectivity changed. Empty when SeqStable.
-	RewiredB []int32
 }
-
-// Identical reports a fully unchanged netlist: stable correspondence and
-// not a single resize.
-func (d *NetlistDiff) Identical() bool { return d.SeqStable && len(d.Resized) == 0 }
-
-// ResizeOnly reports that b differs from a purely by drive resizing over a
-// stable Seq correspondence — the precondition for the patched fork path.
-func (d *NetlistDiff) ResizeOnly() bool { return d.SeqStable }
 
 // sameRef reports that two endpoint refs of Seq-corresponding netlists
 // denote the same endpoint.
@@ -111,97 +87,13 @@ func seqCorresponds(a, b *Netlist, d *NetlistDiff) bool {
 	return true
 }
 
-// connSignature renders an instance's connectivity as pin→net names for
-// the name-based fallback comparison.
-func connSignature(i *Instance) string {
-	sig := i.Cell.Name
-	for pi, n := range i.conns {
-		sig += "|" + i.Cell.PinName(pi) + "="
-		if n != nil {
-			sig += n.Name
-		}
-	}
-	return sig
-}
-
-// Diff computes the changed-instance/changed-net sets between two
-// netlists of the same design. The fast path establishes the Seq
-// correspondence of resize-only pairs; when the structures genuinely
-// diverge (inserted/removed buffer trees, rewired conns) it falls back to
-// a name-based comparison so callers still see what changed.
+// Diff reports whether b corresponds to a Seq for Seq up to drive
+// resizing, and which instances were resized.
 func Diff(a, b *Netlist) *NetlistDiff {
 	d := &NetlistDiff{}
-	if seqCorresponds(a, b, d) {
-		d.SeqStable = true
-		// A net's physical content changes exactly when one of its endpoint
-		// instances was resized: sink input caps and pin offsets move with
-		// the drive variant; pure wiring is untouched under SeqStable.
-		if len(d.Resized) > 0 {
-			resized := make([]bool, len(b.Instances))
-			for _, seq := range d.Resized {
-				resized[seq] = true
-			}
-			for _, n := range b.Nets {
-				touched := n.Driver.Inst != nil && resized[n.Driver.Inst.Seq]
-				if !touched {
-					for _, s := range n.Sinks {
-						if s.Inst != nil && resized[s.Inst.Seq] {
-							touched = true
-							break
-						}
-					}
-				}
-				if touched {
-					d.ChangedNets = append(d.ChangedNets, int32(n.Seq))
-				}
-			}
-		}
-		return d
+	if !seqCorresponds(a, b, d) {
+		return &NetlistDiff{}
 	}
-	// Structural divergence: match by name.
-	d.Resized = d.Resized[:0]
-	changedNet := make([]bool, len(b.Nets))
-	touch := func(n *Net) {
-		if n != nil && !changedNet[n.Seq] {
-			changedNet[n.Seq] = true
-		}
-	}
-	for _, ib := range b.Instances {
-		ia := a.instByName[ib.Name]
-		if ia == nil {
-			d.InsertedB = append(d.InsertedB, int32(ib.Seq))
-			for _, n := range ib.conns {
-				touch(n)
-			}
-			continue
-		}
-		if ia.Cell.Name != ib.Cell.Name {
-			d.Resized = append(d.Resized, int32(ib.Seq))
-			for _, n := range ib.conns {
-				touch(n)
-			}
-		}
-		if connSignature(ia) != connSignature(ib) {
-			d.RewiredB = append(d.RewiredB, int32(ib.Seq))
-			for _, n := range ib.conns {
-				touch(n)
-			}
-		}
-	}
-	for _, ia := range a.Instances {
-		if b.instByName[ia.Name] == nil {
-			d.RemovedA = append(d.RemovedA, int32(ia.Seq))
-		}
-	}
-	for _, nb := range b.Nets {
-		if a.netByName[nb.Name] == nil {
-			touch(nb)
-		}
-	}
-	for seq, c := range changedNet {
-		if c {
-			d.ChangedNets = append(d.ChangedNets, int32(seq))
-		}
-	}
+	d.SeqStable = true
 	return d
 }

@@ -9,11 +9,8 @@ func TestDiffIdentical(t *testing.T) {
 	a := buildSmall(t)
 	b := a.Snapshot()
 	d := Diff(a, b)
-	if !d.SeqStable || !d.Identical() || !d.ResizeOnly() {
+	if !d.SeqStable || len(d.Resized) != 0 {
 		t.Fatalf("identical snapshot: %+v", d)
-	}
-	if len(d.ChangedNets) != 0 {
-		t.Fatalf("changed nets on identical pair: %v", d.ChangedNets)
 	}
 }
 
@@ -25,17 +22,11 @@ func TestDiffResizeOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := Diff(a, b)
-	if !d.SeqStable || !d.ResizeOnly() || d.Identical() {
+	if !d.SeqStable {
 		t.Fatalf("resize pair: %+v", d)
 	}
 	if !slices.Equal(d.Resized, []int32{int32(u2.Seq)}) {
 		t.Fatalf("Resized = %v, want [%d]", d.Resized, u2.Seq)
-	}
-	// u2 drives n2 and sinks n1: both nets' physical content changes.
-	want := []int32{int32(b.Net("n1").Seq), int32(b.Net("n2").Seq)}
-	slices.Sort(want)
-	if !slices.Equal(d.ChangedNets, want) {
-		t.Fatalf("ChangedNets = %v, want %v", d.ChangedNets, want)
 	}
 }
 
@@ -45,18 +36,8 @@ func TestDiffInsertedInstance(t *testing.T) {
 	b.MustAdd("ux", testLib.MustCell("INVD1"), map[string]string{
 		"I": "n2", "ZN": "nx",
 	})
-	d := Diff(a, b)
-	if d.SeqStable || d.ResizeOnly() {
+	if d := Diff(a, b); d.SeqStable || len(d.Resized) != 0 {
 		t.Fatalf("inserted instance must break the correspondence: %+v", d)
-	}
-	if !slices.Equal(d.InsertedB, []int32{int32(b.Instance("ux").Seq)}) {
-		t.Fatalf("InsertedB = %v", d.InsertedB)
-	}
-	// The nets ux touches are changed.
-	for _, seq := range []int{b.Net("n2").Seq, b.Net("nx").Seq} {
-		if !slices.Contains(d.ChangedNets, int32(seq)) {
-			t.Fatalf("net %d missing from ChangedNets %v", seq, d.ChangedNets)
-		}
 	}
 }
 
@@ -66,12 +47,8 @@ func TestDiffRemovedInstance(t *testing.T) {
 		"I": "n2", "ZN": "nx",
 	})
 	b := buildSmall(t)
-	d := Diff(a, b)
-	if d.SeqStable {
+	if d := Diff(a, b); d.SeqStable {
 		t.Fatalf("removed instance must break the correspondence: %+v", d)
-	}
-	if !slices.Equal(d.RemovedA, []int32{int32(a.Instance("ux").Seq)}) {
-		t.Fatalf("RemovedA = %v", d.RemovedA)
 	}
 }
 
@@ -81,11 +58,7 @@ func TestDiffRewired(t *testing.T) {
 	if err := b.Reconnect(b.Instance("u2"), "I", b.EnsureNet("n2b")); err != nil {
 		t.Fatal(err)
 	}
-	d := Diff(a, b)
-	if d.SeqStable {
+	if d := Diff(a, b); d.SeqStable {
 		t.Fatalf("rewire must break the correspondence: %+v", d)
-	}
-	if !slices.Contains(d.RewiredB, int32(b.Instance("u2").Seq)) {
-		t.Fatalf("RewiredB = %v", d.RewiredB)
 	}
 }

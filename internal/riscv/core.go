@@ -2,6 +2,7 @@ package riscv
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cell"
 	"repro/internal/netlist"
@@ -29,19 +30,9 @@ type CoreInfo struct {
 	PCFlop map[int]string
 }
 
-// regBits returns the register-address width for the configured count.
-func (c Config) regBits() int {
-	switch c.Registers {
-	case 32:
-		return 5
-	case 16:
-		return 4
-	case 8:
-		return 3
-	default:
-		panic(fmt.Sprintf("riscv: unsupported register count %d", c.Registers))
-	}
-}
+// regBits returns the register-address width for the configured count:
+// 3, 4 or 5 bits for the 8, 16 or 32 registers Generate accepts.
+func (c Config) regBits() int { return bits.Len(uint(c.Registers)) - 1 }
 
 // Generate builds the gate-level RV32I-subset core over lib.
 //
@@ -54,6 +45,11 @@ func (c Config) regBits() int {
 // The core is a single-cycle microarchitecture: fetch, decode, execute,
 // memory and writeback settle combinationally within one clock.
 func Generate(lib *cell.Library, cfg Config) (*netlist.Netlist, *CoreInfo, error) {
+	switch cfg.Registers {
+	case 8, 16, 32:
+	default:
+		return nil, nil, fmt.Errorf("riscv: unsupported register count %d (want 8, 16 or 32)", cfg.Registers)
+	}
 	if cfg.Name == "" {
 		cfg.Name = "rv32_core"
 	}

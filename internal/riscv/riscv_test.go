@@ -271,3 +271,37 @@ func TestMemoryModel(t *testing.T) {
 		t.Error("diverged memories reported equal")
 	}
 }
+
+// TestGenerateRegisterCounts: only 8, 16 and 32 registers have a
+// register-address width the decoder supports; any other count must be
+// an error from Generate, never a panic mid-build.
+func TestGenerateRegisterCounts(t *testing.T) {
+	for _, tc := range []struct {
+		regs int
+		ok   bool
+	}{
+		{0, false}, {7, false}, {64, false},
+		{8, true}, {16, true}, {32, true},
+	} {
+		nl, info, err := Generate(testLib, Config{Name: "rv32_regs", Registers: tc.regs})
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("Registers=%d: Generate succeeded, want an error", tc.regs)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Registers=%d: %v", tc.regs, err)
+		}
+		if err := nl.Validate(); err != nil {
+			t.Fatalf("Registers=%d: Validate: %v", tc.regs, err)
+		}
+		if len(info.RegFlop) != tc.regs {
+			t.Errorf("Registers=%d: %d register rows", tc.regs, len(info.RegFlop))
+		}
+		// A 32-bit register file plus PC[31:2].
+		if got, want := nl.Stats().Flops, 32*tc.regs+30; got != want {
+			t.Errorf("Registers=%d: %d flops, want %d", tc.regs, got, want)
+		}
+	}
+}

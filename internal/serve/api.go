@@ -126,26 +126,11 @@ type MCRequest struct {
 	FloorFF float64  `json:"floor_ff,omitempty"`
 }
 
-// Options maps the request onto variation.DefaultOptions, overriding only
-// the fields it sets.
+// Options maps the request onto variation.Options; fields the request
+// leaves zero take the study defaults.
 func (r MCRequest) Options() variation.Options {
-	opt := variation.DefaultOptions()
-	if r.Samples > 0 {
-		opt.Samples = r.Samples
-	}
-	if r.Workers > 0 {
-		opt.Workers = r.Workers
-	}
-	if r.Seed != 0 {
-		opt.Seed = r.Seed
-	}
-	if r.SigmaNm > 0 {
-		opt.SigmaNm = r.SigmaNm
-	}
-	if r.FloorFF > 0 {
-		opt.FloorFF = r.FloorFF
-	}
-	return opt
+	return variation.Options{Samples: r.Samples, Workers: r.Workers, Seed: r.Seed,
+		SigmaNm: r.SigmaNm, FloorFF: r.FloorFF}
 }
 
 // Summary is the deterministic result payload of one flow run: the PPA

@@ -387,8 +387,11 @@ func errStatus(err error) int {
 	}
 }
 
+// maxBodyBytes bounds every request body.
+const maxBodyBytes = 1 << 20
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		badRequest(w, "bad request body: "+err.Error())
@@ -504,6 +507,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 	var req MCRequest
 	if !decodeJSON(w, r, &req) {
+		return
+	}
+	if err := req.Options().Validate(); err != nil {
+		badRequest(w, err.Error())
 		return
 	}
 	s.serveOne(w, r, req.Base, func(ctx context.Context, st *streamer, sp exp.Spec) ([]byte, *core.Flow, error) {

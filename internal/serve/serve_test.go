@@ -306,9 +306,10 @@ func TestMemoEviction(t *testing.T) {
 
 // TestSweepGoldenAndCheckpointSharing: a 5-point back-pin sweep through
 // the daemon is byte-identical to the offline per-point path. The points
-// form one prefix group: its leader builds the synth root and the
-// placed-and-clocked prefix through the store (two misses), and the four
-// siblings fork the completed leader without touching the store.
+// form one prefix group whose prefix node the leader and the four
+// siblings resolve together: the first resolution builds the synth root
+// and the placed-and-clocked prefix through the store (two misses), the
+// other four reuse the node without touching the store.
 func TestSweepGoldenAndCheckpointSharing(t *testing.T) {
 	s := newTestServer(t, Options{Scale: exp.Quick})
 	ts := httptest.NewServer(s.Handler())
@@ -339,10 +340,15 @@ func TestSweepGoldenAndCheckpointSharing(t *testing.T) {
 		t.Fatalf("checkpoint misses = %d, want 2 (one synth root + one prefix): %+v", ck.Misses, ck)
 	}
 	if ck.Hits+ck.Coalesced != 0 {
-		t.Fatalf("hits %d + coalesced %d, want 0 (siblings fork the leader): %+v", ck.Hits, ck.Coalesced, ck)
+		t.Fatalf("hits %d + coalesced %d, want 0 (the group's prefix node reads the store once): %+v", ck.Hits, ck.Coalesced, ck)
 	}
 	if st.Sweep.FullSynthForks != 1 {
 		t.Fatalf("full-synth leaders = %d, want 1 (one group leader): %+v", st.Sweep.FullSynthForks, st.Sweep)
+	}
+	// The leader and its four siblings all fork the group's prefix: one
+	// resolution builds it, the other four reuse it.
+	if st.Sweep.PrefixMisses != 1 || st.Sweep.PrefixHits != 4 {
+		t.Fatalf("prefix misses %d, hits %d, want 1 and 4: %+v", st.Sweep.PrefixMisses, st.Sweep.PrefixHits, st.Sweep)
 	}
 	if ck.Entries != 2 {
 		t.Fatalf("checkpoint entries = %d, want 2", ck.Entries)
@@ -671,6 +677,11 @@ func TestInvalidRequests(t *testing.T) {
 		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":0.7,"back_pins":-0.2}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"nm","values":[1]}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"util","values":[]}`},
+		{"/v1/mc", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.7},"samples":100000000}`},
+		{"/v1/mc", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.7},"samples":-5}`},
+		{"/v1/mc", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.7},"sigma_nm":-1}`},
+		// A valid spec behind more than a MiB of whitespace.
+		{"/v1/flow", "{" + strings.Repeat(" ", 1<<20) + `"front":4,"back":4,"target_ghz":1.4,"util":0.7}`},
 	}
 	for _, tc := range cases {
 		resp, err := ts.Client().Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -679,11 +690,12 @@ func TestInvalidRequests(t *testing.T) {
 		}
 		got, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		req := strings.Join(strings.Fields(tc.body), " ")
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s %s: status %d, want 400: %s", tc.path, tc.body, resp.StatusCode, got)
+			t.Errorf("%s %s: status %d, want 400: %s", tc.path, req, resp.StatusCode, got)
 		}
 		if !bytes.Contains(got, []byte("invalid_config")) {
-			t.Errorf("%s %s: body lacks invalid_config: %s", tc.path, tc.body, got)
+			t.Errorf("%s %s: body lacks invalid_config: %s", tc.path, req, got)
 		}
 	}
 	if st := getStats(t, ts); st.Requests.Accepted != 0 {

@@ -15,8 +15,8 @@
 // setup table), Fork clones that state into an independent child sharing
 // the immutable graph tables, and Reanalyze re-propagates only the forward
 // fanout cones of nets whose RC changed — the unit of work behind the
-// paper's dense frequency/DoE sweeps, where neighboring points differ in a
-// handful of nets.
+// Monte Carlo overlay-variation study, where each sample perturbs a subset
+// of the nets.
 package sta
 
 import (
@@ -119,7 +119,7 @@ type ReStats struct {
 //
 // After an Analyze the Engine holds the complete propagation state of that
 // run; Reanalyze updates it in place for a changed RC view, and Fork
-// clones it for an independent session (shared immutable graph tables,
+// clones it for an independent worker (shared immutable graph tables,
 // private mutable arrival/endpoint state).
 type Engine struct {
 	nl *netlist.Netlist
@@ -603,97 +603,6 @@ func (e *Engine) Fork() *Engine {
 	c.stats = ReStats{}
 	c.res = Result{}
 	return &c
-}
-
-// ForkRestamped forks the Engine onto a Seq-corresponding netlist that
-// differs from the build netlist only by drive resizing of the listed
-// instances (netlist.Diff's SeqStable contract). The fork shares the
-// structural tables — connectivity is identical by precondition — but
-// re-points every instance reference into nl and rebuilds the arc tables
-// of the resized rows, so a later Reanalyze with the resized cells'
-// output nets in its dirty set re-times their cones through the new
-// arcs. The retained propagation state carries over: it is the exact
-// state of the parent's last analysis, which is the correct Reanalyze
-// basis for the child as long as the caller supplies a dirty set
-// covering every net whose RC or driving arcs changed.
-//
-// Returns an error when nl does not correspond to the build netlist
-// (callers fall back to building a fresh Engine).
-func (e *Engine) ForkRestamped(nl *netlist.Netlist, resized []int32) (*Engine, error) {
-	if len(nl.Instances) != len(e.nl.Instances) || len(nl.Nets) != len(e.stamp) || len(nl.Ports) != len(e.nl.Ports) {
-		return nil, fmt.Errorf("sta: restamp netlist shape mismatch")
-	}
-	isResized := make([]bool, len(nl.Instances))
-	for _, seq := range resized {
-		if seq < 0 || int(seq) >= len(isResized) {
-			return nil, fmt.Errorf("sta: restamp resized seq %d out of range", seq)
-		}
-		isResized[seq] = true
-	}
-	for i, inst := range nl.Instances {
-		old := e.nl.Instances[i]
-		if inst.Name != old.Name {
-			return nil, fmt.Errorf("sta: restamp instance %d name mismatch", i)
-		}
-		if isResized[i] {
-			if inst.Cell.Base != old.Cell.Base || len(inst.Cell.Inputs) != len(old.Cell.Inputs) {
-				return nil, fmt.Errorf("sta: restamp %s is not a drive change", inst.Name)
-			}
-		} else if inst.Cell.Name != old.Cell.Name {
-			return nil, fmt.Errorf("sta: restamp %s resized but not listed", inst.Name)
-		}
-	}
-
-	c := e.Fork()
-	c.nl = nl
-	arena := make([]*netlist.Instance, len(e.order))
-	for i, inst := range e.order {
-		arena[i] = nl.Instances[inst.Seq]
-	}
-	c.order = arena
-	c.Levels = make([][]*netlist.Instance, len(e.Levels))
-	off := 0
-	for li, level := range e.Levels {
-		c.Levels[li] = arena[off : off+len(level) : off+len(level)]
-		off += len(level)
-	}
-	c.flops = make([]*netlist.Instance, len(e.flops))
-	for i, ff := range e.flops {
-		c.flops[i] = nl.Instances[ff.Seq]
-	}
-	// Rebuild the arc-table rows of the resized cells, then re-deduplicate
-	// the flattened fast-path forms over the new table (the parent's flats
-	// arena must not be appended to — forks share it).
-	arcTab := make([]*liberty.Arc, len(e.arcTab))
-	copy(arcTab, e.arcTab)
-	for _, seq := range resized {
-		inst := nl.Instances[seq]
-		row := e.arcStart[seq]
-		if int(e.arcStart[seq+1]-row) != len(inst.Cell.Inputs) {
-			return nil, fmt.Errorf("sta: restamp %s input count changed", inst.Name)
-		}
-		for _, p := range inst.Cell.Inputs {
-			arcTab[row] = inst.Cell.Arc(p.Name)
-			row++
-		}
-	}
-	c.arcTab = arcTab
-	c.arcFlat = make([]int32, len(arcTab))
-	c.flats = nil
-	flatOf := make(map[*liberty.Arc]int32, 16)
-	for row, a := range arcTab {
-		fi, seen := flatOf[a]
-		if !seen {
-			fi = -1
-			if f, ok := flattenArc(a); ok {
-				fi = int32(len(c.flats))
-				c.flats = append(c.flats, f)
-			}
-			flatOf[a] = fi
-		}
-		c.arcFlat[row] = fi
-	}
-	return c, nil
 }
 
 // Stats reports what the last Analyze/Reanalyze call on this Engine did.

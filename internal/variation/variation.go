@@ -38,7 +38,8 @@ type Options struct {
 	// Samples is the number of Monte Carlo samples (default 4096).
 	Samples int
 	// Workers is the number of sampling goroutines, each owning a forked
-	// engine and a private RC scratch view (default GOMAXPROCS).
+	// engine and a private RC scratch view (default, and at most,
+	// GOMAXPROCS).
 	Workers int
 	// Seed keys the per-sample PRNG streams: sample i draws from a
 	// splitmix64 stream derived from (Seed, i) alone, so results are
@@ -81,12 +82,43 @@ func DefaultOptions() Options {
 	}
 }
 
+// maxSamples bounds Options.Samples: a sampler allocates two float64 per
+// sample up front, and the largest documented study is 16384 samples.
+const maxSamples = 1 << 22
+
+// Validate rejects options no study runs with: a sample count outside
+// [0, 1<<22], a negative worker count, or a model parameter that is
+// negative, NaN or infinite. Zero fields are valid; they pick defaults.
+func (o Options) Validate() error {
+	if o.Samples < 0 || o.Samples > maxSamples {
+		return fmt.Errorf("variation: samples %d outside [0, %d]", o.Samples, maxSamples)
+	}
+	if o.Workers < 0 {
+		return fmt.Errorf("variation: workers %d is negative", o.Workers)
+	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"sigma_nm", o.SigmaNm}, {"cap_sens_per_nm", o.CapSensPerNm},
+		{"parasitic_sigma", o.ParasiticSigma}, {"floor_ff", o.FloorFF},
+	} {
+		if !(p.v >= 0) || math.IsInf(p.v, 1) {
+			return fmt.Errorf("variation: %s %v must be finite and >= 0", p.name, p.v)
+		}
+	}
+	return nil
+}
+
+// withDefaults fills zero fields and clamps Workers to GOMAXPROCS: each
+// worker forks an engine, and summaries are bit-identical for any worker
+// count, so more workers than CPUs only cost memory.
 func (o Options) withDefaults() Options {
 	d := DefaultOptions()
-	if o.Samples <= 0 {
+	if o.Samples == 0 {
 		o.Samples = d.Samples
 	}
-	if o.Workers <= 0 {
+	if o.Workers == 0 || o.Workers > d.Workers {
 		o.Workers = d.Workers
 	}
 	if o.Seed == 0 {
@@ -203,6 +235,9 @@ func NewSampler(b *Basis, opt Options) (*Sampler, error) {
 	}
 	if b.PeriodPs <= 0 {
 		return nil, fmt.Errorf("variation: basis needs a positive target period")
+	}
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
 	opt = opt.withDefaults()
 	s := &Sampler{opt: opt, basis: b}

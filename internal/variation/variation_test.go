@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cell"
@@ -112,6 +113,9 @@ func testBasis(t *testing.T, seed int64) (*Basis, *netlist.Netlist) {
 // contract: for a fixed seed, the per-sample arrays and every summary
 // statistic are bit-identical for any worker count.
 func TestStudyDeterministicAcrossWorkers(t *testing.T) {
+	// Workers are clamped to GOMAXPROCS; raise it so the 3- and 7-way
+	// shardings below run as written on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	b, _ := testBasis(t, 7)
 	opt := Options{Samples: 257, Seed: 42, FloorFF: 0.1}
 	opt.Workers = 1
@@ -261,6 +265,44 @@ func TestStudyCancellation(t *testing.T) {
 	cancel()
 	if _, err := Study(ctx, b, Options{Samples: 128, Workers: 2}); err == nil {
 		t.Fatal("cancelled study returned nil error")
+	}
+}
+
+// TestOptionsValidate: out-of-range sample counts, negative workers and
+// negative or non-finite model parameters are rejected, by Validate and
+// by NewSampler; zero fields stay valid defaults, and an oversized worker
+// count is clamped to GOMAXPROCS instead.
+func TestOptionsValidate(t *testing.T) {
+	bad := []Options{
+		{Samples: maxSamples + 1},
+		{Samples: -5},
+		{Workers: -1},
+		{SigmaNm: -1},
+		{SigmaNm: math.NaN()},
+		{CapSensPerNm: math.Inf(1)},
+		{ParasiticSigma: -0.05},
+		{FloorFF: math.Inf(-1)},
+	}
+	for _, o := range bad {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%+v: Validate accepted it", o)
+		}
+	}
+	for _, o := range []Options{{}, {Samples: maxSamples}, DefaultOptions()} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%+v: %v", o, err)
+		}
+	}
+	b, _ := testBasis(t, 19)
+	if _, err := NewSampler(b, Options{Samples: -5}); err == nil {
+		t.Error("NewSampler accepted a negative sample count")
+	}
+	s, err := NewSampler(b, Options{Samples: 64, Workers: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.GOMAXPROCS(0); len(s.workers) != min(n, 64) {
+		t.Errorf("%d workers, want GOMAXPROCS %d", len(s.workers), n)
 	}
 }
 

@@ -31,7 +31,7 @@ fi
 
 BENCHTIME="${1:-5x}"
 COUNT=6
-BENCH_RE='Flow|STAReuse|BuildDEF|BuildTree|SweepShared|SweepIncremental|SweepFreq|VariationMC|ServeSweep'
+BENCH_RE='Flow|STAReuse|BuildDEF|BuildTree|SweepShared|SweepFreq|VariationMC|ServeSweep'
 
 echo "== go vet =="
 go vet ./...
