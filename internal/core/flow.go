@@ -62,13 +62,15 @@ func DefaultFlowConfig(pattern tech.Pattern, targetGHz, util float64) FlowConfig
 	}
 }
 
-// Validate rejects out-of-range numeric knobs: the target frequency must
-// be positive and finite, the utilization in (0, 1], the aspect ratio
-// finite and non-negative (0 picks the default 1.0) and the back-pin
-// fraction in [0, 1]. NaN fails every check. Every entry point — NewFlow,
-// Fork, RunFlow and the daemon's request decoding — runs it, so all of
-// them reject a bad value the same way, classified as ErrInvalidConfig.
-func (c FlowConfig) Validate() error {
+// Validate rejects a config no run on stack st can take: an out-of-range
+// numeric knob (the target frequency must be positive and finite, the
+// utilization in (0, 1], the aspect ratio finite and non-negative — 0
+// picks the default 1.0 — and the back-pin fraction in [0, 1]; NaN fails
+// every check), a metal pattern st.Validate refuses, or backside pins
+// without backside routing layers. Every entry point — NewFlow, Fork,
+// RunFlow and the daemon's request decoding — runs it, so all of them
+// reject a bad config the same way, classified as ErrInvalidConfig.
+func (c FlowConfig) Validate(st *tech.Stack) error {
 	var err error
 	switch {
 	case !(c.TargetFreqGHz > 0) || math.IsInf(c.TargetFreqGHz, 1):
@@ -80,27 +82,22 @@ func (c FlowConfig) Validate() error {
 	case !(c.BackPinFraction >= 0 && c.BackPinFraction <= 1):
 		err = fmt.Errorf("back-pin fraction %v must be in [0, 1]", c.BackPinFraction)
 	default:
+		if err = st.Validate(c.Pattern); err == nil && c.BackPinFraction > 0 && c.Pattern.Back == 0 {
+			err = fmt.Errorf("backside pins need backside routing layers")
+		}
+	}
+	if err == nil {
 		return nil
 	}
 	return &FlowError{Kind: ErrInvalidConfig, Stage: stageNone, Config: c.Name, Err: err}
 }
 
-// validateFlowConfig rejects out-of-range and structurally impossible
-// configs and normalizes defaulted knobs. Shared by NewFlow and Flow.Fork
-// so a mutated fork config passes exactly the checks a fresh session
-// would. Failures are classified as ErrInvalidConfig.
+// validateFlowConfig runs Validate and normalizes defaulted knobs. Shared
+// by NewFlow and Flow.Fork so a mutated fork config passes exactly the
+// checks a fresh session would.
 func validateFlowConfig(st *tech.Stack, cfg *FlowConfig) error {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(st); err != nil {
 		return err
-	}
-	invalid := func(err error) error {
-		return &FlowError{Kind: ErrInvalidConfig, Stage: stageNone, Config: cfg.Name, Err: err}
-	}
-	if err := st.Validate(cfg.Pattern); err != nil {
-		return invalid(err)
-	}
-	if cfg.BackPinFraction > 0 && cfg.Pattern.Back == 0 {
-		return invalid(fmt.Errorf("backside pins need backside routing layers"))
 	}
 	if cfg.MaxDRVs <= 0 {
 		cfg.MaxDRVs = 10

@@ -98,9 +98,5 @@ func (sn *SideNets) footprintBytes() int64 {
 	for _, s := range sn.SinkPos {
 		b += int64(len(s)) * int64(unsafe.Sizeof(int32(0)))
 	}
-	b += int64(len(sn.SinkOrder)) * sliceHdr
-	for _, s := range sn.SinkOrder {
-		b += int64(len(s)) * int64(unsafe.Sizeof(int32(0)))
-	}
 	return b
 }

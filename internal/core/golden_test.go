@@ -16,9 +16,11 @@ import (
 )
 
 // -update regenerates the golden artifacts. The committed files were
-// captured before the PinID refactor (string pin identities), so a clean
-// run proves the string-free flow emits bit-identical DEF text and
-// FlowResult metrics.
+// captured before the PinID refactor (string pin identities) and have
+// not been regenerated since, so a clean run proves that neither the
+// string-free identities nor extraction's sink-index accumulation order
+// (the string-keyed flow summed sinks in pin-name order) changes a DEF
+// byte or a FlowResult metric on these configs.
 var updateGolden = flag.Bool("update", false, "rewrite golden flow artifacts")
 
 // goldenConfigs spans the paper's main knobs: dual-sided vs single-sided

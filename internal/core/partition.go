@@ -155,12 +155,6 @@ type SideNets struct {
 	// 1 back). Extraction uses it to find the sink's tree node without
 	// any name-keyed lookup.
 	SinkPos [][]int32
-	// SinkOrder[seq] is the canonical sink visit order for float
-	// accumulation during extraction: sink indices sorted by the legacy
-	// rendered pin name ("inst/pin", ports as "PIN/name"). Keeping this
-	// exact order makes every extracted metric bit-identical to the
-	// string-keyed flow it replaces.
-	SinkOrder [][]int32
 	// Rerouted counts sinks that required the (optional) bridging-cell
 	// path: sinks whose assigned side has no routing layers in the
 	// pattern. They are rerouted on the available side instead.
@@ -188,14 +182,12 @@ func Partition(nl *netlist.Netlist, pa *PinAssignment, pattern tech.Pattern, pin
 	idArena := make([]netlist.PinID, 0, totalSinks)
 	capArena := make([]float64, 0, totalSinks)
 	posArena := make([]int32, 0, totalSinks)
-	ordArena := make([]int32, 0, totalSinks)
 	pinArena := make([]route.Pin, 0, totalSinks+2*len(nl.Nets))
 	netArena := make([]route.Net, 0, 2*len(nl.Nets))
 	out := &SideNets{
 		SinkIDs:   make([][]netlist.PinID, len(nl.Nets)),
 		SinkCapFF: make([][]float64, len(nl.Nets)),
 		SinkPos:   make([][]int32, len(nl.Nets)),
-		SinkOrder: make([][]int32, len(nl.Nets)),
 	}
 	frontOK := pattern.Front > 0
 	backOK := pattern.Back > 0
@@ -238,11 +230,8 @@ func Partition(nl *netlist.Netlist, pa *PinAssignment, pattern tech.Pattern, pin
 			}
 			sideOf = append(sideOf, side)
 		}
-		k := len(n.Sinks)
 		out.SinkIDs[n.Seq] = idArena[sinkStart:len(idArena):len(idArena)]
 		out.SinkCapFF[n.Seq] = capArena[sinkStart:len(capArena):len(capArena)]
-		out.SinkOrder[n.Seq] = sortSinksByLegacyName(ordArena[len(ordArena):len(ordArena):len(ordArena)+k], n.Sinks)
-		ordArena = ordArena[:len(ordArena)+k]
 		drv := route.Pin{ID: n.Driver.ID(), At: pinAt(n.Driver), Driver: true}
 		// The dual-sided output pin roots a sub-net on each side that has
 		// sinks ("each output signal can be placed on the frontside, the
@@ -285,75 +274,6 @@ func Partition(nl *netlist.Netlist, pa *PinAssignment, pattern tech.Pattern, pin
 		}
 	}
 	return out, nil
-}
-
-// sortSinksByLegacyName fills dst (len 0, cap >= len(sinks)) with sink
-// indices ordered by the legacy rendered pin name — "inst/pin", ports as
-// "PIN/name" — without building any string. This is the canonical float
-// accumulation order of extraction; preserving it keeps every extracted
-// metric bit-identical to the string-keyed flow this replaced. Keys are
-// unique within a net (a pin appears on exactly one net position), so
-// the simple insertion sort is order-equivalent to any comparison sort.
-func sortSinksByLegacyName(dst []int32, sinks []netlist.PinRef) []int32 {
-	for i := range sinks {
-		dst = append(dst, int32(i))
-	}
-	for i := 1; i < len(dst); i++ {
-		for j := i; j > 0 && cmpLegacyPinName(sinks[dst[j]], sinks[dst[j-1]]) < 0; j-- {
-			dst[j], dst[j-1] = dst[j-1], dst[j]
-		}
-	}
-	return dst
-}
-
-// legacyNameParts returns the two halves of the legacy pin name; the
-// rendered form was head + "/" + tail.
-func legacyNameParts(r netlist.PinRef) (head, tail string) {
-	if r.IsPort() {
-		return "PIN", r.Port.Name
-	}
-	return r.Inst.Name, r.Pin
-}
-
-// cmpLegacyPinName compares two pins exactly as strings.Compare over
-// their rendered "head/tail" names would, walking the three virtual
-// segments without concatenating them.
-func cmpLegacyPinName(a, b netlist.PinRef) int {
-	ah, at := legacyNameParts(a)
-	bh, bt := legacyNameParts(b)
-	as := [3]string{ah, "/", at}
-	bs := [3]string{bh, "/", bt}
-	ai, ao := 0, 0
-	bi, bo := 0, 0
-	for {
-		for ai < 3 && ao == len(as[ai]) {
-			ai++
-			ao = 0
-		}
-		for bi < 3 && bo == len(bs[bi]) {
-			bi++
-			bo = 0
-		}
-		if ai == 3 || bi == 3 {
-			switch {
-			case ai == 3 && bi == 3:
-				return 0
-			case ai == 3:
-				return -1
-			default:
-				return 1
-			}
-		}
-		ca, cb := as[ai][ao], bs[bi][bo]
-		if ca != cb {
-			if ca < cb {
-				return -1
-			}
-			return 1
-		}
-		ao++
-		bo++
-	}
 }
 
 // PartitionStats summarizes a partition for reporting.

@@ -888,7 +888,6 @@ func (f *Flow) stageExtract() error {
 			Back:      f.backRes.Tree(n.Seq),
 			SinkPos:   sides.SinkPos[n.Seq],
 			SinkCapFF: sides.SinkCapFF[n.Seq],
-			Order:     sides.SinkOrder[n.Seq],
 		}, eopt)
 		netRC[n.Seq] = &rcStore[n.Seq]
 	}

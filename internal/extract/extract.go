@@ -58,12 +58,6 @@ type NetInput struct {
 	SinkPos []int32
 	// SinkCapFF is the input capacitance (fF) of each sink.
 	SinkCapFF []float64
-	// Order is the canonical sink visit order (indices into the sink
-	// slices). Float accumulation into the capacitance totals follows
-	// it, so one fixed order keeps results reproducible no matter how
-	// sinks are listed; the flow passes the legacy sorted-by-pin-name
-	// order. nil means index order.
-	Order []int32
 }
 
 // NetRC is the extracted view consumed by STA and power analysis.
@@ -82,65 +76,6 @@ type NetRC struct {
 	WirelenNm int64
 }
 
-// Equal reports whether two extracted net views are bit-identical: every
-// float field compared by its IEEE-754 bit pattern, the Elmore tables
-// element-wise. This is the cleanliness predicate of the incremental
-// timing path — a net whose re-extracted view is Equal to the baseline
-// cannot perturb any downstream arrival by even one ULP.
-func (n *NetRC) Equal(o *NetRC) bool {
-	if n == nil || o == nil {
-		return n == o
-	}
-	if n.Name != o.Name || n.WirelenNm != o.WirelenNm ||
-		math.Float64bits(n.TotalCapFF) != math.Float64bits(o.TotalCapFF) ||
-		math.Float64bits(n.WireCapFF) != math.Float64bits(o.WireCapFF) ||
-		len(n.ElmorePs) != len(o.ElmorePs) {
-		return false
-	}
-	for i, v := range n.ElmorePs {
-		if math.Float64bits(v) != math.Float64bits(o.ElmorePs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// DiffRC compares two dense net-Seq-indexed extraction databases and
-// appends to dst the Seqs of every net whose view changed — the dirty set
-// sta.Engine.Reanalyze consumes. Slots present in only one database (the
-// views disagree on the design size) are reported dirty. dst is reused
-// scratch; pass dst[:0] to rebuild in place.
-func DiffRC(dst []int32, old, new []*NetRC) []int32 {
-	n := len(new)
-	if len(old) > n {
-		n = len(old)
-	}
-	for i := 0; i < n; i++ {
-		var o, w *NetRC
-		if i < len(old) {
-			o = old[i]
-		}
-		if i < len(new) {
-			w = new[i]
-		}
-		if !o.Equal(w) {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
-
-// MaxElmore returns the worst sink delay.
-func (n *NetRC) MaxElmore() float64 {
-	m := 0.0
-	for _, v := range n.ElmorePs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Extractor owns reusable per-net scratch so extracting thousands of
 // nets in a flow allocates only the returned NetRC values. The zero
 // value is ready to use; an Extractor is not safe for concurrent use.
@@ -153,7 +88,6 @@ type Extractor struct {
 	down       []float64
 	elmore     []float64
 	order      []int32
-	idx        []int32 // identity visit order when NetInput.Order is nil
 }
 
 // NewExtractor returns an empty reusable extractor.
@@ -188,30 +122,19 @@ func (x *Extractor) ExtractInto(dst *NetRC, stack *tech.Stack, in NetInput, opt 
 	}
 	*dst = NetRC{Name: in.Name, ElmorePs: el}
 
-	// Sink visit order is the caller's canonical order everywhere below:
-	// float accumulation into TotalCapFF must follow one fixed order, or
-	// results drift by ULPs between otherwise-identical runs.
-	order := in.Order
-	if order == nil {
-		idx := x.idx[:0]
-		for i := 0; i < nSinks; i++ {
-			idx = append(idx, int32(i))
-		}
-		x.idx = idx
-		order = idx
-	}
-
+	// Sinks are visited in index order everywhere below: float
+	// accumulation into TotalCapFF follows the net's canonical sink order,
+	// so identical inputs give bit-identical results.
 	for side, t := range [2]*route.Tree{in.Front, in.Back} {
 		if t == nil {
 			continue
 		}
-		x.extractSide(stack, t, in, opt, dst, int32(side), order)
+		x.extractSide(stack, t, in, opt, dst, int32(side))
 		dst.WirelenNm += t.WirelenNm
 	}
 	// Sinks with no routed tree (same-gcell or unrouted): local stub only.
-	for _, i := range order {
+	for i, c := range in.SinkCapFF {
 		if dst.ElmorePs[i] < 0 {
-			c := in.SinkCapFF[i]
 			dst.ElmorePs[i] = opt.PinStubRKOhm * (c + opt.PinStubCfF)
 			dst.TotalCapFF += c + opt.PinStubCfF
 			dst.WireCapFF += opt.PinStubCfF
@@ -241,7 +164,7 @@ func (x *Extractor) ensure(n int) {
 // extractSide runs Elmore analysis over one side's tree and merges the
 // results into out. side is the tree's side bit (0 front, 1 back); only
 // sinks whose SinkPos carries that bit live in this tree.
-func (x *Extractor) extractSide(stack *tech.Stack, t *route.Tree, in NetInput, opt Options, out *NetRC, side int32, order []int32) {
+func (x *Extractor) extractSide(stack *tech.Stack, t *route.Tree, in NetInput, opt Options, out *NetRC, side int32) {
 	n := len(t.Nodes)
 	if n == 0 {
 		return
@@ -285,10 +208,7 @@ func (x *Extractor) extractSide(stack *tech.Stack, t *route.Tree, in NetInput, o
 		out.WireCapFF += c
 		out.TotalCapFF += c
 	}
-	// Canonical-order walk: nodeCap/TotalCapFF are float accumulators,
-	// so the visit order must be the caller's fixed order.
-	for _, i := range order {
-		sp := in.SinkPos[i]
+	for i, sp := range in.SinkPos {
 		if sp&1 != side {
 			continue // sink lives in the other side's tree
 		}
@@ -347,8 +267,7 @@ func (x *Extractor) extractSide(stack *tech.Stack, t *route.Tree, in NetInput, o
 		}
 	}
 
-	for _, i := range order {
-		sp := in.SinkPos[i]
+	for i, sp := range in.SinkPos {
 		if sp&1 != side {
 			continue
 		}

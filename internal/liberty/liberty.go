@@ -94,19 +94,6 @@ func (t *Table) Lookup(slew, load float64) float64 {
 	return v00*(1-fs)*(1-fl) + v10*fs*(1-fl) + v01*(1-fs)*fl + v11*fs*fl
 }
 
-// MaxValue returns the largest characterized value.
-func (t *Table) MaxValue() float64 {
-	max := t.Values[0][0]
-	for _, row := range t.Values {
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return max
-}
-
 // Scale returns a copy of the table with every value multiplied by k.
 func (t *Table) Scale(k float64) *Table {
 	out := &Table{
@@ -162,17 +149,6 @@ type Arc struct {
 
 	EnergyRise *Table // fJ per output rise (internal, excludes load)
 	EnergyFall *Table // fJ per output fall
-}
-
-// WorstDelay returns the larger of the rise/fall delays at an operating
-// point; STA uses it for graph construction before edge-accurate analysis.
-func (a *Arc) WorstDelay(slew, load float64) float64 {
-	r := a.DelayRise.Lookup(slew, load)
-	f := a.DelayFall.Lookup(slew, load)
-	if r > f {
-		return r
-	}
-	return f
 }
 
 // SeqSpec describes sequential behaviour of a flip-flop cell.

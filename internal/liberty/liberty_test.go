@@ -89,23 +89,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestMaxValue(t *testing.T) {
-	tb := linTable()
-	want := 2*40 + 3*4.0
-	if got := tb.MaxValue(); got != want {
-		t.Errorf("MaxValue = %v, want %v", got, want)
-	}
-}
-
-func TestArcWorstDelay(t *testing.T) {
-	rise := NewTable([]float64{10}, []float64{1}, func(s, l float64) float64 { return 5 })
-	fall := NewTable([]float64{10}, []float64{1}, func(s, l float64) float64 { return 7 })
-	a := &Arc{DelayRise: rise, DelayFall: fall}
-	if got := a.WorstDelay(10, 1); got != 7 {
-		t.Errorf("WorstDelay = %v, want 7", got)
-	}
-}
-
 func TestSeqClkQWorst(t *testing.T) {
 	r := NewTable([]float64{10}, []float64{1}, func(s, l float64) float64 { return 12 })
 	f := NewTable([]float64{10}, []float64{1}, func(s, l float64) float64 { return 9 })

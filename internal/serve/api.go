@@ -14,6 +14,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -44,8 +45,9 @@ type FlowSpec struct {
 // Config resolves the spec to the architecture and full flow config.
 // The config name is rendered from the config fields alone, so identical
 // specs — from any client — produce identical configs, results and
-// response bytes. The config's numeric fields pass core's
-// FlowConfig.Validate here, before any work is admitted.
+// response bytes. Config only parses the wire form (the arch name and the
+// required front); the daemon checks the resulting config with core's
+// FlowConfig.Validate before admitting any work.
 func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 	var arch tech.Arch
 	switch strings.ToUpper(sp.Arch) {
@@ -73,9 +75,6 @@ func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 	cfg.Name = fmt.Sprintf("%s-F%dB%d-t%.3g-u%.3g-a%.3g-bp%.3g-s%d",
 		arch, cfg.Pattern.Front, cfg.Pattern.Back, cfg.TargetFreqGHz,
 		cfg.Utilization, cfg.AspectRatio, cfg.BackPinFraction, cfg.Seed)
-	if err := cfg.Validate(); err != nil {
-		return 0, core.FlowConfig{}, err
-	}
 	return arch, cfg, nil
 }
 
@@ -232,10 +231,18 @@ type ErrorBody struct {
 }
 
 // newErrorBody classifies err and, when a partially-run session is
-// available, attaches its completed stage timings.
+// available, attaches its completed stage timings. An admission refusal
+// is kind busy or draining; every other error takes exp.ErrClass's
+// spelling of its class.
 func newErrorBody(name string, err error, partial *core.Flow) *ErrorBody {
 	cerr := core.Classify(name, err)
 	body := &ErrorBody{Kind: exp.ErrClass(cerr), Message: cerr.Error()}
+	switch {
+	case errors.Is(err, errBusy):
+		body.Kind = "busy"
+	case errors.Is(err, errDraining):
+		body.Kind = "draining"
+	}
 	if partial != nil {
 		times := partial.Result().StageTimes
 		for s, d := range times {

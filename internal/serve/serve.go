@@ -353,8 +353,13 @@ func (st *streamer) fail(w http.ResponseWriter, name string, err error, partial 
 		st.emit(event{Event: "error", Error: body})
 		return
 	}
+	writeError(w, errStatus(err), body)
+}
+
+// writeError writes a plain (non-streamed) error response.
+func writeError(w http.ResponseWriter, status int, body *ErrorBody) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(errStatus(err))
+	w.WriteHeader(status)
 	b, _ := json.Marshal(struct {
 		Error *ErrorBody `json:"error"`
 	}{body})
@@ -400,9 +405,23 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// badRequest answers 400 invalid_config before any flow work is admitted.
+// badRequest answers 400 invalid-config before any flow work is admitted.
 func badRequest(w http.ResponseWriter, msg string) {
-	http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, msg), http.StatusBadRequest)
+	writeError(w, http.StatusBadRequest, &ErrorBody{Kind: exp.ErrClass(core.ErrInvalidConfig), Message: msg})
+}
+
+// spec maps a wire spec onto the run it describes and rejects, before any
+// work is admitted, every config core would: FlowConfig.Validate against
+// the stack of the spec's architecture in the suite's library.
+func (s *Server) spec(sp FlowSpec) (exp.Spec, error) {
+	arch, cfg, err := sp.Config()
+	if err != nil {
+		return exp.Spec{}, err
+	}
+	if err := cfg.Validate(s.suite.Netlist(arch).Lib.Stack); err != nil {
+		return exp.Spec{}, err
+	}
+	return exp.Spec{Arch: arch, Cfg: cfg}, nil
 }
 
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
@@ -427,26 +446,26 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 // answer returns — the response body, or an error with the session as
 // far as it got.
 func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, spec FlowSpec, answer func(context.Context, *streamer, exp.Spec) ([]byte, *core.Flow, error)) {
-	arch, cfg, err := spec.Config()
+	sp, err := s.spec(spec)
 	if err != nil {
 		badRequest(w, err.Error())
 		return
 	}
 	st := newStreamer(w, r)
-	defer containPanic(st, w, cfg.Name)
+	defer containPanic(st, w, sp.Cfg.Name)
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	release, err := s.admit(ctx)
 	if err != nil {
-		st.fail(w, cfg.Name, err, nil)
+		st.fail(w, sp.Cfg.Name, err, nil)
 		return
 	}
 	defer release()
 	st.emit(event{Event: "accepted"})
 
-	body, partial, err := answer(ctx, st, exp.Spec{Arch: arch, Cfg: cfg})
+	body, partial, err := answer(ctx, st, sp)
 	if err != nil {
-		st.fail(w, cfg.Name, err, partial)
+		st.fail(w, sp.Cfg.Name, err, partial)
 		return
 	}
 	st.writeBody(w, body)
@@ -462,14 +481,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err.Error())
 		return
 	}
+	// Every point is one unit of admitted work, all spawned at once, so
+	// a sweep wider than the admission bound would refuse its own points.
+	if bound := s.opt.MaxQueue + s.opt.MaxWorkers; len(points) > bound {
+		badRequest(w, fmt.Sprintf("sweep has %d values, more than the %d units the daemon admits at once", len(points), bound))
+		return
+	}
 	specs := make([]exp.Spec, len(points))
 	for i, sp := range points {
-		arch, cfg, err := sp.Config()
-		if err != nil {
+		if specs[i], err = s.spec(sp); err != nil {
 			badRequest(w, fmt.Sprintf("point %d: %v", i, err))
 			return
 		}
-		specs[i] = exp.Spec{Arch: arch, Cfg: cfg}
 	}
 	st := newStreamer(w, r)
 	// The executor contains per-point panics; this catches the outer

@@ -628,12 +628,17 @@ func TestAdmissionAndDrain(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("over-queue request: status %d: %s", status, got)
 	}
-	var eb struct {
-		Error ErrorBody `json:"error"`
+	requireErrorKind(t, "429 body", got, "busy")
+	// A sweep point refused because other requests fill the queue says
+	// so too, inside the sweep's 200 response.
+	status, got = post(t, ts, "/v1/sweep", SweepRequest{Base: baseSpec, Axis: "back_pins", Values: []float64{0.5}})
+	var sw struct {
+		Results []json.RawMessage `json:"results"`
 	}
-	if err := json.Unmarshal(got, &eb); err != nil || eb.Error.Kind == "" {
-		t.Fatalf("429 body not a classified error: %s (%v)", got, err)
+	if err := json.Unmarshal(got, &sw); status != http.StatusOK || err != nil || len(sw.Results) != 1 {
+		t.Fatalf("over-queue sweep: status %d: %s (%v)", status, got, err)
 	}
+	requireErrorKind(t, "refused sweep point", sw.Results[0], "busy")
 
 	// Abandon the queued clients and free the worker slot.
 	cancel()
@@ -649,6 +654,7 @@ func TestAdmissionAndDrain(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("draining request: status %d: %s", status, got)
 	}
+	requireErrorKind(t, "503 body", got, "draining")
 	s.draining.Store(false)
 
 	want := wrapResult(t, offlineBody(t, s, baseSpec))
@@ -658,8 +664,20 @@ func TestAdmissionAndDrain(t *testing.T) {
 	}
 }
 
-// TestInvalidRequests: malformed specs are 400 invalid_config before any
-// flow work is admitted.
+// requireErrorKind asserts that body is an {"error": ErrorBody} of the
+// given kind.
+func requireErrorKind(t *testing.T, tag string, body []byte, kind string) {
+	t.Helper()
+	var eb struct {
+		Error ErrorBody `json:"error"`
+	}
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Kind != kind {
+		t.Errorf("%s: want an error of kind %q, got %s (%v)", tag, kind, body, err)
+	}
+}
+
+// TestInvalidRequests: malformed specs and configs core would refuse are
+// 400 invalid-config before any flow work is admitted.
 func TestInvalidRequests(t *testing.T) {
 	s := newTestServer(t, Options{Scale: exp.Quick})
 	ts := httptest.NewServer(s.Handler())
@@ -675,6 +693,12 @@ func TestInvalidRequests(t *testing.T) {
 		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":1.5}`},
 		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":0.7,"back_pins":1.5}`},
 		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":0.7,"back_pins":-0.2}`},
+		// Patterns and pin assignments no flow can take.
+		{"/v1/flow", `{"front":99,"target_ghz":1.4,"util":0.7}`},
+		{"/v1/flow", `{"arch":"CFET","front":4,"back":4,"target_ghz":1.4,"util":0.7}`},
+		{"/v1/flow", `{"front":4,"target_ghz":1.4,"util":0.7,"back_pins":0.3}`},
+		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"back_pins","values":[0,0.3]}`},
+		{"/v1/mc", `{"base":{"arch":"CFET","front":4,"back":4,"target_ghz":1.4,"util":0.7}}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"nm","values":[1]}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"util","values":[]}`},
 		{"/v1/mc", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.7},"samples":100000000}`},
@@ -684,6 +708,7 @@ func TestInvalidRequests(t *testing.T) {
 		{"/v1/flow", "{" + strings.Repeat(" ", 1<<20) + `"front":4,"back":4,"target_ghz":1.4,"util":0.7}`},
 	}
 	for _, tc := range cases {
+		before := getStats(t, ts).Requests.Accepted
 		resp, err := ts.Client().Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
@@ -694,12 +719,47 @@ func TestInvalidRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s %s: status %d, want 400: %s", tc.path, req, resp.StatusCode, got)
 		}
-		if !bytes.Contains(got, []byte("invalid_config")) {
-			t.Errorf("%s %s: body lacks invalid_config: %s", tc.path, req, got)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", tc.path, req, ct)
+		}
+		requireErrorKind(t, tc.path+" "+req, got, "invalid-config")
+		if st := getStats(t, ts); st.Requests.Accepted != before {
+			t.Errorf("%s %s was admitted: %+v", tc.path, req, st.Requests)
 		}
 	}
+}
+
+// TestSweepAdmissionBound: every sweep point is a unit of admitted work,
+// all spawned at once, so a sweep with more values than MaxQueue +
+// MaxWorkers is refused up front instead of refusing its own points; a
+// sweep at the bound answers every point.
+func TestSweepAdmissionBound(t *testing.T) {
+	s := newTestServer(t, Options{Scale: exp.Quick, MaxWorkers: 1, MaxQueue: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	wide := SweepRequest{Base: baseSpec, Axis: "back_pins", Values: []float64{0.2, 0.4, 0.6, 0.8}}
+	status, got := post(t, ts, "/v1/sweep", wide)
+	if status != http.StatusBadRequest {
+		t.Fatalf("4-value sweep at bound 3: status %d, want 400: %s", status, got)
+	}
+	requireErrorKind(t, "4-value sweep", got, "invalid-config")
 	if st := getStats(t, ts); st.Requests.Accepted != 0 {
-		t.Fatalf("invalid requests were admitted: %+v", st.Requests)
+		t.Fatalf("over-bound sweep was admitted: %+v", st.Requests)
+	}
+
+	wide.Values = wide.Values[:3]
+	status, got = post(t, ts, "/v1/sweep", wide)
+	var sw struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(got, &sw); status != http.StatusOK || err != nil || len(sw.Results) != 3 {
+		t.Fatalf("3-value sweep at bound 3: status %d: %s (%v)", status, got, err)
+	}
+	for i, r := range sw.Results {
+		if bytes.Contains(r, []byte(`"error"`)) {
+			t.Errorf("point %d refused: %s", i, r)
+		}
 	}
 }
 

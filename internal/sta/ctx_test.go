@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repro/internal/netlist"
 )
 
 // TestAnalyzeCtxCancelled pins the cancellation contract: a cancelled
@@ -23,27 +25,11 @@ func TestAnalyzeCtxCancelled(t *testing.T) {
 		t.Fatalf("cancelled analyze = %v, want context.Canceled in chain", err)
 	}
 
-	// The half-propagated state must not be trusted: a Reanalyze right
-	// after the cancel must run full (not incremental) and match a fresh
-	// engine's answer exactly.
-	got, err := e.Reanalyze(Input{}, DefaultOptions(), nil)
-	if err != nil {
-		t.Fatalf("Reanalyze after cancel: %v", err)
-	}
-	if e.Stats().Incremental {
-		t.Error("Reanalyze after cancel ran incrementally off a dropped basis")
-	}
-	want, err := Analyze(nl, Input{}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MinPeriodPs != want.MinPeriodPs || got.MaxArrivalPs != want.MaxArrivalPs {
-		t.Errorf("post-cancel result (%.3f, %.3f) != fresh (%.3f, %.3f)",
-			got.MinPeriodPs, got.MaxArrivalPs, want.MinPeriodPs, want.MaxArrivalPs)
-	}
+	requireFullAfterCancel(t, nl, e)
 }
 
-// TestReanalyzeCtxCancelled covers the incremental path's cancel check.
+// TestReanalyzeCtxCancelled covers the incremental path's cancel check,
+// which drops the retained basis just like a cancelled full pass.
 func TestReanalyzeCtxCancelled(t *testing.T) {
 	nl := pipeline(t, 4)
 	e, err := NewEngine(nl)
@@ -55,9 +41,28 @@ func TestReanalyzeCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var res Result
-	err = e.ReanalyzeIntoCtx(ctx, &res, Input{}, DefaultOptions(), []int32{int32(nl.Net("s1").Seq)})
+	err = e.ReanalyzeStateCtx(ctx, Input{}, DefaultOptions(), []int32{int32(nl.Net("s1").Seq)})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled reanalyze = %v, want context.Canceled in chain", err)
+		t.Fatalf("cancelled re-timing = %v, want context.Canceled in chain", err)
 	}
+	requireFullAfterCancel(t, nl, e)
+}
+
+// requireFullAfterCancel asserts that the half-propagated state of a
+// cancelled call is not trusted: the next re-timing must run full (not
+// incremental) and match a fresh engine's answer exactly.
+func requireFullAfterCancel(t *testing.T, nl *netlist.Netlist, e *Engine) {
+	t.Helper()
+	var got Result
+	if err := reanalyze(e, &got, Input{}, DefaultOptions(), nil); err != nil {
+		t.Fatalf("re-timing after cancel: %v", err)
+	}
+	if e.Stats().Incremental {
+		t.Error("re-timing after cancel ran incrementally off a dropped basis")
+	}
+	want, err := Analyze(nl, Input{}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "post-cancel", &got, want)
 }

@@ -14,17 +14,12 @@ func (e *Engine) FootprintBytes() int64 {
 		return 0
 	}
 	const (
-		ptrSize  = int64(unsafe.Sizeof(uintptr(0)))
-		sliceHdr = int64(unsafe.Sizeof([]int32{}))
-		i32      = int64(unsafe.Sizeof(int32(0)))
-		f64      = int64(unsafe.Sizeof(float64(0)))
+		ptrSize = int64(unsafe.Sizeof(uintptr(0)))
+		i32     = int64(unsafe.Sizeof(int32(0)))
+		f64     = int64(unsafe.Sizeof(float64(0)))
 	)
 	b := int64(unsafe.Sizeof(*e))
-	b += int64(len(e.Levels)) * sliceHdr
-	for _, lv := range e.Levels {
-		b += int64(len(lv)) * ptrSize
-	}
-	b += ptrSize * int64(len(e.order)+len(e.flops)+len(e.arcTab))
+	b += ptrSize * int64(len(e.order)+len(e.flops))
 	b += i32 * int64(len(e.arcStart)+len(e.arcNet)+len(e.arcSink)+len(e.arcFlat)+
 		len(e.outSeq)+len(e.dNet)+len(e.dSink)+len(e.qNet)+len(e.from)+
 		len(e.levelOf)+len(e.driverOf)+len(e.consStart)+len(e.consInst)+

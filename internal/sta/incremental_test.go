@@ -3,7 +3,9 @@ package sta
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/extract"
@@ -80,8 +82,7 @@ func randomRC(nl *netlist.Netlist, rng *rand.Rand) []*extract.NetRC {
 // perturbRC returns a copy of rc where a random subset of nets got a new
 // view — scaled up (degraded cones) or down (improved cones, the case a
 // monotonic worst-endpoint update would get wrong). Clean nets keep the
-// identical *NetRC. The returned dirty set is what extract.DiffRC would
-// report.
+// identical *NetRC.
 func perturbRC(rc []*extract.NetRC, rng *rand.Rand, frac float64) []*extract.NetRC {
 	out := make([]*extract.NetRC, len(rc))
 	copy(out, rc)
@@ -105,6 +106,41 @@ func perturbRC(rc []*extract.NetRC, rng *rand.Rand, frac float64) []*extract.Net
 	return out
 }
 
+// dirtyNets is the dirty-set oracle of these tests: the Seqs of every net
+// whose view differs between two dense RC databases, each float compared
+// by its bit pattern and a slot present in only one database counted
+// dirty. A net it leaves out cannot perturb any arrival by even one ULP.
+func dirtyNets(old, new []*extract.NetRC) []int32 {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var dirty []int32
+	for i := 0; i < max(len(old), len(new)); i++ {
+		var o, w *extract.NetRC
+		if i < len(old) {
+			o = old[i]
+		}
+		if i < len(new) {
+			w = new[i]
+		}
+		clean := o == w || o != nil && w != nil && o.Name == w.Name &&
+			o.WirelenNm == w.WirelenNm && same(o.TotalCapFF, w.TotalCapFF) &&
+			same(o.WireCapFF, w.WireCapFF) && slices.EqualFunc(o.ElmorePs, w.ElmorePs, same)
+		if !clean {
+			dirty = append(dirty, int32(i))
+		}
+	}
+	return dirty
+}
+
+// reanalyze re-times e with ReanalyzeStateCtx and reduces the retained
+// state into dst with the same finishInto a full AnalyzeInto ends with,
+// so a re-timing compares against a full analysis Result for Result.
+func reanalyze(e *Engine, dst *Result, in Input, opt Options, dirty []int32) error {
+	if err := e.ReanalyzeStateCtx(context.Background(), in, opt, dirty); err != nil {
+		return err
+	}
+	return e.finishInto(dst, in)
+}
+
 // requireSameResult asserts exact (bit-level) equality of two results.
 func requireSameResult(t *testing.T, tag string, got, want *Result) {
 	t.Helper()
@@ -126,8 +162,8 @@ func requireSameResult(t *testing.T, tag string, got, want *Result) {
 // TestReanalyzeMatchesFullAnalyze is the incremental-correctness property
 // test: over many random circuits and random dirty subsets — including
 // improved-slack cones, empty dirty sets, and chains of successive
-// reanalyses — Reanalyze on a forked engine must reproduce a from-scratch
-// full Analyze bit for bit.
+// re-timings — ReanalyzeStateCtx on a forked engine must reproduce a
+// from-scratch full Analyze bit for bit.
 func TestReanalyzeMatchesFullAnalyze(t *testing.T) {
 	opt := DefaultOptions()
 	for round := int64(0); round < 8; round++ {
@@ -155,13 +191,13 @@ func TestReanalyzeMatchesFullAnalyze(t *testing.T) {
 		cur := rc
 		for step := 0; step < 5; step++ {
 			next := perturbRC(cur, rng, 0.15)
-			dirty := extract.DiffRC(nil, cur, next)
+			dirty := dirtyNets(cur, next)
 			var got Result
-			if err := eng.ReanalyzeInto(&got, Input{NetRC: next, ClockArrivalPs: clk}, opt, dirty); err != nil {
+			if err := reanalyze(eng, &got, Input{NetRC: next, ClockArrivalPs: clk}, opt, dirty); err != nil {
 				t.Fatal(err)
 			}
 			if !eng.Stats().Incremental {
-				t.Fatalf("round %d step %d: Reanalyze did not take the incremental path", round, step)
+				t.Fatalf("round %d step %d: re-timing did not take the incremental path", round, step)
 			}
 			if len(dirty) > 0 && eng.Stats().RecomputedCells == 0 && eng.Stats().RecomputedEndpoints == 0 {
 				t.Fatalf("round %d step %d: dirty set %d but nothing recomputed", round, step, len(dirty))
@@ -182,7 +218,7 @@ func TestReanalyzeMatchesFullAnalyze(t *testing.T) {
 		// reproduce the retained analysis exactly.
 		empty := base.Fork()
 		var got Result
-		if err := empty.ReanalyzeInto(&got, Input{NetRC: rc, ClockArrivalPs: clk}, opt, nil); err != nil {
+		if err := reanalyze(empty, &got, Input{NetRC: rc, ClockArrivalPs: clk}, opt, nil); err != nil {
 			t.Fatal(err)
 		}
 		if st := empty.Stats(); !st.Incremental || st.RecomputedCells != 0 || st.RecomputedEndpoints != 0 {
@@ -198,7 +234,7 @@ func TestReanalyzeMatchesFullAnalyze(t *testing.T) {
 		for i := range all {
 			all[i] = int32(i)
 		}
-		if err := super.ReanalyzeInto(&got, Input{NetRC: rc, ClockArrivalPs: clk}, opt, all); err != nil {
+		if err := reanalyze(super, &got, Input{NetRC: rc, ClockArrivalPs: clk}, opt, all); err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, fmt.Sprintf("round %d superset", round), &got, &baseRes)
@@ -238,21 +274,21 @@ func TestReanalyzeImprovedCriticalCone(t *testing.T) {
 	for j := range light[s3.Seq].ElmorePs {
 		light[s3.Seq].ElmorePs[j] = 1
 	}
-	dirty := extract.DiffRC(nil, heavy, light)
+	dirty := dirtyNets(heavy, light)
 	if len(dirty) != 1 || dirty[0] != int32(s3.Seq) {
 		t.Fatalf("dirty = %v, want exactly [%d]", dirty, s3.Seq)
 	}
 
 	eng := base.Fork()
-	got, err := eng.Reanalyze(Input{NetRC: light}, opt, dirty)
-	if err != nil {
+	var got Result
+	if err := reanalyze(eng, &got, Input{NetRC: light}, opt, dirty); err != nil {
 		t.Fatal(err)
 	}
 	want, err := Analyze(nl, Input{NetRC: light}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "improved cone", got, want)
+	requireSameResult(t, "improved cone", &got, want)
 	if !(got.MinPeriodPs < heavyPeriod) {
 		t.Fatalf("improved cone did not lower the period: %.3f -> %.3f", heavyPeriod, got.MinPeriodPs)
 	}
@@ -261,7 +297,7 @@ func TestReanalyzeImprovedCriticalCone(t *testing.T) {
 	}
 }
 
-// TestReanalyzeBasisMismatchFallsBack locks the safety valve: a Reanalyze
+// TestReanalyzeBasisMismatchFallsBack locks the safety valve: a re-timing
 // under different options or clock arrivals than the retained basis must
 // run a full analysis (and say so in Stats), never a wrong incremental one.
 func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
@@ -277,8 +313,8 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 
 	slower := opt
 	slower.InputSlewPs = 22
-	got, err := eng.Reanalyze(Input{}, slower, nil)
-	if err != nil {
+	var got Result
+	if err := reanalyze(eng, &got, Input{}, slower, nil); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Incremental {
@@ -288,12 +324,11 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "opt fallback", got, want)
+	requireSameResult(t, "opt fallback", &got, want)
 
 	// Clock-table change (including nil vs non-nil) is a basis change too.
 	arr := arrivals(nl, map[string]float64{"ff1": 4, "ff2": 9})
-	got, err = eng.Reanalyze(Input{ClockArrivalPs: arr}, slower, nil)
-	if err != nil {
+	if err := reanalyze(eng, &got, Input{ClockArrivalPs: arr}, slower, nil); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Incremental {
@@ -303,14 +338,14 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "clk fallback", got, want)
+	requireSameResult(t, "clk fallback", &got, want)
 
 	// An engine with no retained state at all falls back as well.
 	cold, err := NewEngine(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cold.Reanalyze(Input{}, opt, nil); err != nil {
+	if err := cold.ReanalyzeStateCtx(context.Background(), Input{}, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats().Incremental {
@@ -325,8 +360,7 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk[nl.Instance("ff2").Seq] = 25 // in-place mutation of the caller buffer
-	got, err = eng.Reanalyze(Input{ClockArrivalPs: clk}, opt, nil)
-	if err != nil {
+	if err := reanalyze(eng, &got, Input{ClockArrivalPs: clk}, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Incremental {
@@ -336,19 +370,17 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "aliased clk fallback", got, want)
+	requireSameResult(t, "aliased clk fallback", &got, want)
 
-	// A dirty Seq outside the engine's net table (DiffRC emits those when
-	// the RC views disagree on the design size) is a basis mismatch, not
-	// a net to skip.
-	got, err = eng.Reanalyze(Input{ClockArrivalPs: clk}, opt, []int32{int32(len(nl.Nets)) + 3})
-	if err != nil {
+	// A dirty Seq outside the engine's net table (RC views that disagree
+	// on the design size) is a basis mismatch, not a net to skip.
+	if err := reanalyze(eng, &got, Input{ClockArrivalPs: clk}, opt, []int32{int32(len(nl.Nets)) + 3}); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Incremental {
 		t.Fatal("out-of-range dirty Seq must force a full analysis")
 	}
-	requireSameResult(t, "out-of-range fallback", got, want)
+	requireSameResult(t, "out-of-range fallback", &got, want)
 }
 
 // TestForkIsolation guards the clone-on-fork contract: re-timing a forked
@@ -374,20 +406,20 @@ func TestForkIsolation(t *testing.T) {
 	rcA := perturbRC(rc, rng, 0.5)
 	rcB := perturbRC(rc, rng, 0.5)
 	var resA, resB Result
-	if err := a.ReanalyzeInto(&resA, Input{NetRC: rcA}, opt, extract.DiffRC(nil, rc, rcA)); err != nil {
+	if err := reanalyze(a, &resA, Input{NetRC: rcA}, opt, dirtyNets(rc, rcA)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ReanalyzeInto(&resB, Input{NetRC: rcB}, opt, extract.DiffRC(nil, rc, rcB)); err != nil {
+	if err := reanalyze(b, &resB, Input{NetRC: rcB}, opt, dirtyNets(rc, rcB)); err != nil {
 		t.Fatal(err)
 	}
 
 	// The parent re-running over its original view must reproduce its
 	// original result: no child write leaked into its state.
-	again, err := parent.Reanalyze(Input{NetRC: rc}, opt, nil)
-	if err != nil {
+	var again Result
+	if err := reanalyze(parent, &again, Input{NetRC: rc}, opt, nil); err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "parent after child reanalyses", again, parentSnap)
+	requireSameResult(t, "parent after child re-timings", &again, parentSnap)
 
 	for tag, pair := range map[string]struct {
 		in  []*extract.NetRC
@@ -403,13 +435,14 @@ func TestForkIsolation(t *testing.T) {
 
 // TestAnalyzeIntoAllocsFree pins the caller-reusable storage contract:
 // once the destination Result is warmed, both AnalyzeInto and a dirty
-// ReanalyzeInto run without a single allocation.
+// ReanalyzeStateCtx plus its Result reduction run without a single
+// allocation.
 func TestAnalyzeIntoAllocsFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	nl := web(t, 4, 30, 3)
 	rc := randomRC(nl, rng)
 	rc2 := perturbRC(rc, rng, 0.3)
-	dirty := extract.DiffRC(nil, rc, rc2)
+	dirty := dirtyNets(rc, rc2)
 	opt := DefaultOptions()
 
 	eng, err := NewEngine(nl)
@@ -427,15 +460,15 @@ func TestAnalyzeIntoAllocsFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("AnalyzeInto allocates %.1f objects/op, want 0", allocs)
 	}
-	if err := eng.ReanalyzeInto(&dst, Input{NetRC: rc2}, opt, dirty); err != nil { // warm dirty scratch
+	if err := reanalyze(eng, &dst, Input{NetRC: rc2}, opt, dirty); err != nil { // warm dirty scratch
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := eng.ReanalyzeInto(&dst, Input{NetRC: rc2}, opt, dirty); err != nil {
+		if err := reanalyze(eng, &dst, Input{NetRC: rc2}, opt, dirty); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("ReanalyzeInto allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("ReanalyzeStateCtx allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -473,7 +506,7 @@ func TestReanalyzeStateMatchesFull(t *testing.T) {
 				eng = eng.Fork()
 			}
 			next := perturbRC(cur, rng, 0.2)
-			dirty := extract.DiffRC(nil, cur, next)
+			dirty := dirtyNets(cur, next)
 			in := Input{NetRC: next, ClockArrivalPs: clk}
 			if err := eng.ReanalyzeStateCtx(context.Background(), in, opt, dirty); err != nil {
 				t.Fatal(err)
@@ -497,9 +530,9 @@ func TestReanalyzeStateMatchesFull(t *testing.T) {
 					round, step, gotW, gotT, wantW, wantT)
 			}
 			// The state must also still reduce into a bit-identical full
-			// Result (state-only and Into variants share one propagation).
+			// Result.
 			var got Result
-			if err := eng.ReanalyzeInto(&got, in, opt, nil); err != nil {
+			if err := eng.finishInto(&got, in); err != nil {
 				t.Fatal(err)
 			}
 			requireSameResult(t, fmt.Sprintf("round %d step %d state", round, step), &got, &want)

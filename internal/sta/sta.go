@@ -13,10 +13,10 @@
 // On top of the reusable build, the Engine is incremental: Analyze retains
 // the full propagation state (per-net arrivals/slews plus a per-endpoint
 // setup table), Fork clones that state into an independent child sharing
-// the immutable graph tables, and Reanalyze re-propagates only the forward
-// fanout cones of nets whose RC changed — the unit of work behind the
-// Monte Carlo overlay-variation study, where each sample perturbs a subset
-// of the nets.
+// the immutable graph tables, and ReanalyzeStateCtx re-propagates only the
+// forward fanout cones of nets whose RC changed, with SlackStats reducing
+// the result — the unit of work behind the Monte Carlo overlay-variation
+// study, where each sample perturbs a subset of the nets.
 package sta
 
 import (
@@ -37,8 +37,8 @@ const cancelCheckEvery = 4096
 
 // cancelled builds the error a cancelled propagation returns. The engine's
 // retained state is partially updated at that point, so callers of the
-// Ctx variants also see hasBase dropped: the next Reanalyze falls back to
-// a full pass instead of trusting a half-propagated basis.
+// Ctx variants also see hasBase dropped: the next ReanalyzeStateCtx falls
+// back to a full pass instead of trusting a half-propagated basis.
 func cancelled(ctx context.Context) error {
 	return fmt.Errorf("sta: cancelled during propagation: %w", ctx.Err())
 }
@@ -95,14 +95,14 @@ func (r *Result) Clone() *Result {
 	return &out
 }
 
-// ReStats summarizes what the last Analyze/Reanalyze call on an Engine
-// actually did — the observability hook incremental tests and benchmarks
-// assert against.
+// ReStats summarizes what the last Analyze/ReanalyzeStateCtx call on an
+// Engine actually did — the observability hook incremental tests and
+// benchmarks assert against.
 type ReStats struct {
 	// Incremental is true when the call took the cone-re-propagation
 	// path; false for a full (re)analysis.
 	Incremental bool
-	// DirtyNets is the size of the dirty set handed to Reanalyze.
+	// DirtyNets is the size of the dirty set handed to ReanalyzeStateCtx.
 	DirtyNets int
 	// RecomputedCells counts combinational cells whose output was
 	// re-evaluated (full analysis: every driven cell).
@@ -118,37 +118,33 @@ type ReStats struct {
 // (reconnects, buffer insertion, resizing).
 //
 // After an Analyze the Engine holds the complete propagation state of that
-// run; Reanalyze updates it in place for a changed RC view, and Fork
-// clones it for an independent worker (shared immutable graph tables,
+// run; ReanalyzeStateCtx updates it in place for a changed RC view, and
+// Fork clones it for an independent worker (shared immutable graph tables,
 // private mutable arrival/endpoint state).
 type Engine struct {
 	nl *netlist.Netlist
 
-	// Levels is the levelized combinational order (level 0 = cells fed
-	// only by sources). Retained for incremental use; the full analysis
-	// walks the flattened order.
-	Levels [][]*netlist.Instance
-
-	order []*netlist.Instance // Levels flattened
-	flops []*netlist.Instance
+	// order is the levelized combinational order (level 0 = cells fed
+	// only by sources), flattened; levels counts its levels.
+	order  []*netlist.Instance
+	levels int
+	flops  []*netlist.Instance
 
 	// Flat per-(instance, input-pin) arc tables: the rows of instance i
-	// are arcNet/arcSink/arcTab[arcStart[i]:arcStart[i+1]], one per input
+	// are arcNet/arcSink/arcFlat[arcStart[i]:arcStart[i+1]], one per input
 	// pin in canonical cell order. arcNet is the driving net's Seq (-1
 	// for unconnected or clock inputs, which timing skips); arcSink is
-	// this pin's index in that net's sink list (-1 when absent); arcTab
-	// is the cell's NLDM arc for the pin.
+	// this pin's index in that net's sink list (-1 when absent).
 	arcStart []int32
 	arcNet   []int32
 	arcSink  []int32
-	arcTab   []*liberty.Arc
 
-	// Flattened NLDM fast path (immutable, fork-shared): arcFlat maps an
-	// arc row to an entry of flats, or -1 when the arc's four tables do
-	// not share one axis pair and the generic liberty lookup applies.
-	// Sharing the axes lets one segment search + fraction pair serve the
-	// rise/fall delay and slew tables of an arc — the dominant cost of
-	// cell evaluation at Monte Carlo sampling rates.
+	// Flattened NLDM arcs (immutable, fork-shared): arcFlat maps every
+	// row propagation evaluates to an entry of flats, and holds -1 for
+	// the rows it never reads (flop D/CP pins, clock and unconnected
+	// inputs). Sharing the axes lets one segment search + fraction pair
+	// serve the rise/fall delay and slew tables of an arc — the dominant
+	// cost of cell evaluation at Monte Carlo sampling rates.
 	arcFlat []int32
 	flats   []flatArc
 
@@ -173,7 +169,7 @@ type Engine struct {
 	// Flat mirrors of the RC view the retained state was computed under
 	// (mutable, fork-copied): per-net load, per-arc-row wire delay into
 	// the row's sink pin, and per-flop wire delay into the D pin. A full
-	// analysis refreshes all three from the Input; Reanalyze refreshes
+	// analysis refreshes all three from the Input; a re-timing refreshes
 	// only the dirty nets' entries. Propagation reads these flat arrays
 	// instead of chasing *extract.NetRC pointers per arc.
 	loadFF  []float64
@@ -183,14 +179,14 @@ type Engine struct {
 	// Per-endpoint setup state, aligned with flops: the required period
 	// and D-pin arrival of every constrained check from the last
 	// analysis. Keeping the whole table (not just the running max) is
-	// what lets Reanalyze handle cones whose slack improves — the worst
+	// what lets a re-timing handle cones whose slack improves — the worst
 	// endpoint is recomputed exactly over all entries, never monotonically.
 	endNeed []float64
 	endArr  []float64
 	endOK   []bool
 
-	// Reanalyze basis bookkeeping: the options and clock arrivals the
-	// retained state was computed under. A Reanalyze under different
+	// Re-timing basis bookkeeping: the options and clock arrivals the
+	// retained state was computed under. A re-timing under different
 	// analysis conditions falls back to a full pass.
 	hasBase bool
 	baseOpt Options
@@ -200,7 +196,7 @@ type Engine struct {
 	baseClkNil bool
 
 	// Cone-walk adjacency (immutable, shared by forks): the forward
-	// indices Reanalyze needs to touch only the dirty fanout cones
+	// indices a re-timing needs to touch only the dirty fanout cones
 	// instead of scanning the whole levelized order per call.
 	levelOf   []int32 // per instance: levelized level index, -1 for flops/sources
 	driverOf  []int32 // per net: Seq of its combinational driver, -1 if flop/port-driven
@@ -210,7 +206,7 @@ type Engine struct {
 	dFlop     []int32 // flop indices (into flops) whose D pin loads the net
 	qFlopOf   []int32 // per net: flop index whose Q output drives it, -1 otherwise
 
-	// Reanalyze dirty tracking, epoch-stamped like the arrival state:
+	// Re-timing dirty tracking, epoch-stamped like the arrival state:
 	// rcStamp marks nets whose RC changed this call, valStamp nets whose
 	// recomputed arrival or slew differs from the retained state.
 	reEpoch  uint32
@@ -250,8 +246,8 @@ func carveF64(arena *[]float64, n int) []float64 {
 // fractions by reciprocal multiply (axis deltas are inverted once at
 // flatten time) and factors the four bilinear corner weights out of the
 // per-table expressions — same math, fewer divides and multiplies per
-// evaluation, at worst one ULP from the generic lookup. The golden
-// artifacts carry the flat path's values. blk holds, per interpolation
+// evaluation, at worst one ULP from liberty.Table.Lookup. The golden
+// artifacts carry these values. blk holds, per interpolation
 // cell, the four corner values of all four tables contiguously
 // ([v00 v10 v01 v11] × dR, dF, sR, sF — 16 floats, two cache lines), so
 // one cell evaluation touches one block instead of four scattered
@@ -300,20 +296,20 @@ func sameAxis(a, b []float64) bool {
 	return true
 }
 
-// flattenArc builds the fast-path representation of an arc, or reports
-// that the arc must use the generic lookup (missing tables, degenerate or
-// mismatched axes).
-func flattenArc(a *liberty.Arc) (flatArc, bool) {
+// flattenArc builds the flat representation of an arc, or reports why
+// its tables do not flatten (missing tables, degenerate or mismatched
+// axes).
+func flattenArc(a *liberty.Arc) (flatArc, error) {
 	if a == nil || a.DelayRise == nil || a.DelayFall == nil || a.SlewRise == nil || a.SlewFall == nil {
-		return flatArc{}, false
+		return flatArc{}, fmt.Errorf("no complete delay and slew tables")
 	}
 	s, l := a.DelayRise.Slews, a.DelayRise.Loads
 	if len(s) < 2 || len(l) < 2 {
-		return flatArc{}, false
+		return flatArc{}, fmt.Errorf("degenerate %dx%d table axes", len(s), len(l))
 	}
 	for _, t := range []*liberty.Table{a.DelayFall, a.SlewRise, a.SlewFall} {
 		if !sameAxis(t.Slews, s) || !sameAxis(t.Loads, l) {
-			return flatArc{}, false
+			return flatArc{}, fmt.Errorf("delay and slew tables do not share one (slew, load) axis pair")
 		}
 	}
 	f := flatArc{
@@ -340,22 +336,23 @@ func flattenArc(a *liberty.Arc) (flatArc, bool) {
 			}
 		}
 	}
-	return f, true
+	return f, nil
 }
 
 // NewEngine levelizes the netlist and builds the dense timing graph.
-// It fails if the combinational graph is cyclic.
+// It fails if the combinational graph is cyclic, or if an arc propagation
+// would evaluate does not flatten onto one (slew, load) axis pair.
 //
 // The build tables are carved from a handful of per-type arenas (one
-// int32, one float64, plus the arc-pointer and per-arc tables): an MC
-// variation study builds one engine per population and forks it per
-// worker, so the one-time build cost shows up multiplied.
+// int32, one float64, plus the per-arc tables): an MC variation study
+// builds one engine per population and forks it per worker, so the
+// one-time build cost shows up multiplied.
 func NewEngine(nl *netlist.Netlist) (*Engine, error) {
 	levels, cyclic := nl.TopoLevels()
 	if len(cyclic) > 0 {
 		return nil, fmt.Errorf("sta: %d instances in combinational cycles", len(cyclic))
 	}
-	e := &Engine{nl: nl, Levels: levels, flops: nl.Flops()}
+	e := &Engine{nl: nl, levels: len(levels), flops: nl.Flops()}
 	nOrder := 0
 	for _, level := range levels {
 		nOrder += len(level)
@@ -390,37 +387,38 @@ func NewEngine(nl *netlist.Netlist) (*Engine, error) {
 		e.arcStart[i+1] += e.arcStart[i]
 	}
 	nArcs := int(e.arcStart[nInst])
-	arcInts := make([]int32, 2*nArcs)
+	arcInts := make([]int32, 3*nArcs)
 	e.arcNet = carveI32(&arcInts, nArcs)
 	e.arcSink = carveI32(&arcInts, nArcs)
-	e.arcTab = make([]*liberty.Arc, nArcs)
+	e.arcFlat = carveI32(&arcInts, nArcs)
+	// The arcs of evaluated rows — connected, non-clock inputs of
+	// combinational cells with a driven output — are flattened once per
+	// distinct arc: a netlist instantiates a handful of cell types, so the
+	// flats table is tiny and stays cache-resident through propagation.
+	flatOf := make(map[*liberty.Arc]int32, 16)
 	for _, inst := range nl.Instances {
 		row := e.arcStart[inst.Seq]
 		for _, p := range inst.Cell.Inputs {
-			e.arcNet[row], e.arcSink[row] = -1, -1
+			e.arcNet[row], e.arcSink[row], e.arcFlat[row] = -1, -1, -1
 			if n := inst.Conn(p.Name); n != nil && !n.IsClock {
 				e.arcNet[row] = int32(n.Seq)
 			}
-			e.arcTab[row] = inst.Cell.Arc(p.Name)
+			if e.arcNet[row] >= 0 && e.outSeq[inst.Seq] >= 0 && !inst.Cell.IsSeq() {
+				a := inst.Cell.Arc(p.Name)
+				fi, seen := flatOf[a]
+				if !seen {
+					f, err := flattenArc(a)
+					if err != nil {
+						return nil, fmt.Errorf("sta: cell %s input %s: %w", inst.Cell.Name, p.Name, err)
+					}
+					fi = int32(len(e.flats))
+					e.flats = append(e.flats, f)
+					flatOf[a] = fi
+				}
+				e.arcFlat[row] = fi
+			}
 			row++
 		}
-	}
-	// Deduplicate the arc tables into the flattened fast-path forms: a
-	// netlist instantiates a handful of cell types, so the flats table is
-	// tiny and stays cache-resident through propagation.
-	e.arcFlat = make([]int32, nArcs)
-	flatOf := make(map[*liberty.Arc]int32, 16)
-	for row, a := range e.arcTab {
-		fi, seen := flatOf[a]
-		if !seen {
-			fi = -1
-			if f, ok := flattenArc(a); ok {
-				fi = int32(len(e.flats))
-				e.flats = append(e.flats, f)
-			}
-			flatOf[a] = fi
-		}
-		e.arcFlat[row] = fi
 	}
 
 	// One pass over the nets resolves every pin's sink index — O(total
@@ -461,7 +459,7 @@ func NewEngine(nl *netlist.Netlist) (*Engine, error) {
 	e.wireD = carveF64(&floats, nFlop)
 	e.endOK = make([]bool, nFlop)
 
-	e.buildConeIndex()
+	e.buildConeIndex(levels)
 	return e, nil
 }
 
@@ -469,12 +467,12 @@ func NewEngine(nl *netlist.Netlist) (*Engine, error) {
 // seeds from: per-net combinational driver and consumers, per-net flop
 // endpoints, the Q-driving flop, and each instance's level. Consumers are
 // counting-sorted in levelized order, so worklist seeding is deterministic.
-func (e *Engine) buildConeIndex() {
+func (e *Engine) buildConeIndex(levels [][]*netlist.Instance) {
 	nNet := len(e.stamp)
 	for i := range e.levelOf {
 		e.levelOf[i] = -1
 	}
-	for li, level := range e.Levels {
+	for li, level := range levels {
 		for _, inst := range level {
 			e.levelOf[inst.Seq] = int32(li)
 		}
@@ -605,7 +603,8 @@ func (e *Engine) Fork() *Engine {
 	return &c
 }
 
-// Stats reports what the last Analyze/Reanalyze call on this Engine did.
+// Stats reports what the last Analyze/ReanalyzeStateCtx call on this
+// Engine did.
 func (e *Engine) Stats() ReStats { return e.stats }
 
 // Analyze runs full STA and derives the minimum feasible clock period.
@@ -683,49 +682,24 @@ func (e *Engine) analyzeState(ctx context.Context, in Input, opt Options) error 
 	return nil
 }
 
-// Reanalyze re-times the design after an RC change, given the dense set of
-// net Seqs whose extracted view differs from the one the Engine's retained
-// state was computed under (extract.DiffRC emits exactly that set; a net
-// absent from dirtyNets must be bit-identical in both views). Only the
-// forward fanout cones of dirty nets are re-propagated, over the existing
-// levelized order; everything outside the cones keeps its retained
-// arrivals, and the worst endpoint is recomputed exactly over the full
-// per-endpoint table — cones whose slack improves are handled, not just
-// degradations. The merged state, and therefore the Result, is bit-identical
-// to a full Analyze of the new view.
+// ReanalyzeStateCtx re-times the design after an RC change, given the
+// dense set of net Seqs whose extracted view differs from the one the
+// Engine's retained state was computed under (a net absent from dirtyNets
+// must be bit-identical in both views). Only the forward fanout cones of
+// dirty nets are re-propagated, over the existing levelized order;
+// everything outside the cones keeps its retained arrivals, and the
+// endpoint table is updated exactly, so cones whose slack improves are
+// handled, not just degradations. The retained state afterwards is
+// bit-identical to a full analysis of the new view.
 //
-// A Reanalyze under different Options or clock arrivals than the retained
-// basis — or on an Engine with no retained state — falls back to a full
-// Analyze. The returned Result is Engine-owned like Analyze's.
-func (e *Engine) Reanalyze(in Input, opt Options, dirtyNets []int32) (*Result, error) {
-	if err := e.ReanalyzeInto(&e.res, in, opt, dirtyNets); err != nil {
-		return nil, err
-	}
-	return &e.res, nil
-}
-
-// ReanalyzeInto is Reanalyze filling caller-owned storage (see AnalyzeInto).
-func (e *Engine) ReanalyzeInto(dst *Result, in Input, opt Options, dirtyNets []int32) error {
-	return e.ReanalyzeIntoCtx(context.Background(), dst, in, opt, dirtyNets)
-}
-
-// ReanalyzeIntoCtx is ReanalyzeInto under a context; see AnalyzeIntoCtx
-// for the cancellation semantics (a cancelled re-propagation likewise
-// drops the retained basis).
-func (e *Engine) ReanalyzeIntoCtx(ctx context.Context, dst *Result, in Input, opt Options, dirtyNets []int32) error {
-	if err := e.ReanalyzeStateCtx(ctx, in, opt, dirtyNets); err != nil {
-		return err
-	}
-	return e.finishInto(dst, in)
-}
-
-// ReanalyzeStateCtx updates the retained propagation and endpoint state
-// for a changed RC view without reducing a Result — the unit of work of a
-// Monte Carlo sampling loop, which only needs SlackStats afterwards and
-// would otherwise pay a full-design reduction (worst slew scan, critical
-// path trace) per sample. Fallback and cancellation semantics match
-// ReanalyzeIntoCtx; the state after a call is bit-identical to a full
-// analysis of the new view.
+// No Result is reduced: a Monte Carlo sampling loop needs only SlackStats
+// afterwards and would otherwise pay a full-design reduction (worst slew
+// scan, critical path trace) per sample.
+//
+// A call under different Options or clock arrivals than the retained
+// basis, with a dirty Seq outside the engine's net table, or on an Engine
+// with no retained state runs a full propagation instead. Cancellation
+// behaves as in AnalyzeIntoCtx: a cancelled call drops the retained basis.
 func (e *Engine) ReanalyzeStateCtx(ctx context.Context, in Input, opt Options, dirtyNets []int32) error {
 	if !e.hasBase || opt != e.baseOpt || !e.clkMatchesBase(in) {
 		return e.analyzeState(ctx, in, opt)
@@ -748,10 +722,9 @@ func (e *Engine) ReanalyzeStateCtx(ctx context.Context, in Input, opt Options, d
 	for _, s := range dirtyNets {
 		if s < 0 || int(s) >= len(e.rcStamp) {
 			// A Seq outside the engine's net table means the RC views
-			// disagree with the netlist this Engine was built on
-			// (extract.DiffRC reports exactly that for mismatched view
-			// sizes) — not a valid incremental basis. Honor the fallback
-			// contract instead of silently dropping the net.
+			// disagree with the netlist this Engine was built on — not a
+			// valid incremental basis. Honor the fallback contract
+			// instead of silently dropping the net.
 			return e.analyzeState(ctx, in, opt)
 		}
 		e.rcStamp[s] = e.reEpoch
@@ -872,9 +845,9 @@ func (e *Engine) pushEndpoints(net int32) {
 // SlackStats reduces the retained endpoint table against a clock period:
 // WNS is the worst endpoint slack, TNS the sum of negative slacks, both
 // in ps. The reduction runs in fixed flop order, so it is deterministic
-// for a given retained state. It reads whatever state the last
-// Analyze/Reanalyze call left behind (a Monte Carlo loop pairs it with
-// ReanalyzeStateCtx); with no constrained endpoints both are 0.
+// for a given retained state. It reads whatever state the last Analyze or
+// ReanalyzeStateCtx call left behind; with no constrained endpoints both
+// are 0.
 func (e *Engine) SlackStats(periodPs float64) (wnsPs, tnsPs float64) {
 	wns := math.Inf(1)
 	for i, ok := range e.endOK {
@@ -928,41 +901,23 @@ func (e *Engine) evalCell(seq, out int32, opt Options) (bestArr, bestSlew float6
 	var curLoads *float64
 	var jOff, stride int
 	var fl, gl float64
-	for row := e.arcStart[seq]; row < e.arcStart[seq+1]; row++ {
+	// The row bound is read once: re-reading arcStart[seq+1] per row keeps
+	// seq and arcStart live across the segment scans below, and the
+	// compiler then spills the scans' loop counters to the stack.
+	for row, end := e.arcStart[seq], e.arcStart[seq+1]; row < end; row++ {
 		inNet := e.arcNet[row]
 		if inNet < 0 || e.stamp[inNet] != e.epoch {
 			continue // clock, unconnected, or undriven/constant-like
 		}
 		wire := e.wireArc[row]
 		sinkSlew := extract.SlewDegrade(e.slew[inNet], wire)
-		fi := e.arcFlat[row]
-		if fi < 0 {
-			// Generic path: tables with mismatched or degenerate axes.
-			a := e.arcTab[row]
-			if a == nil {
-				continue
-			}
-			d := a.WorstDelay(sinkSlew, load)
-			cand := e.arr[inNet] + wire + d
-			if cand > bestArr {
-				bestArr = cand
-				oR := a.SlewRise.Lookup(sinkSlew, load)
-				oF := a.SlewFall.Lookup(sinkSlew, load)
-				if oR > oF {
-					bestSlew = oR
-				} else {
-					bestSlew = oF
-				}
-			}
-			continue
-		}
-		// Fast path: one interpolation cell serves all four tables. The
-		// segment selection matches liberty.Table.Lookup exactly; the
-		// fractions are reciprocal multiplies against the flatten-time
-		// inverted axis deltas, and the four bilinear corner weights are
-		// hoisted once per row instead of being re-multiplied per table
-		// term — the MC sampling hot path's dominant arithmetic.
-		f := &e.flats[fi]
+		// One interpolation cell serves all four tables. The segment
+		// selection matches liberty.Table.Lookup exactly; the fractions
+		// are reciprocal multiplies against the flatten-time inverted axis
+		// deltas, and the four bilinear corner weights are hoisted once
+		// per row instead of being re-multiplied per table term — the MC
+		// sampling hot path's dominant arithmetic.
+		f := &e.flats[e.arcFlat[row]]
 		i := segLin(f.slews, sinkSlew)
 		if lp := &f.loads[0]; lp != curLoads {
 			curLoads = lp
@@ -1097,7 +1052,7 @@ func (e *Engine) finishInto(dst *Result, in Input) error {
 	return nil
 }
 
-// recordBase marks the retained state as a valid Reanalyze basis under the
+// recordBase marks the retained state as a valid re-timing basis under the
 // given analysis conditions. The clock table is copied into Engine-owned
 // storage: a caller that reuses one clock buffer and mutates it in place
 // between analyses must not make clkMatchesBase compare the buffer against
@@ -1137,7 +1092,7 @@ func (e *Engine) beginEpoch() {
 	}
 }
 
-// beginReEpoch opens a fresh dirty-tracking epoch for one Reanalyze call,
+// beginReEpoch opens a fresh dirty-tracking epoch for one re-timing call,
 // lazily sizing the stamp arrays and cone-walk scratch on first use (so a
 // warmed engine's steady-state reanalysis allocates nothing).
 func (e *Engine) beginReEpoch() {
@@ -1149,7 +1104,7 @@ func (e *Engine) beginReEpoch() {
 		e.instStamp = stamps[2*nNet : 2*nNet+nInst : 2*nNet+nInst]
 		e.endStamp = stamps[2*nNet+nInst:]
 		e.instNext = make([]int32, nInst)
-		e.levelHead = make([]int32, len(e.Levels))
+		e.levelHead = make([]int32, e.levels)
 		e.endList = make([]int32, 0, nFlop)
 	}
 	e.reEpoch++

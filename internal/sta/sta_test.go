@@ -1,10 +1,12 @@
 package sta
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/extract"
+	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
@@ -128,6 +130,30 @@ func TestNoEndpointsRejected(t *testing.T) {
 	nl.MustAdd("i1", lib.MustCell("INVD1"), map[string]string{"I": "a", "ZN": "y"})
 	if _, err := Analyze(nl, Input{}, DefaultOptions()); err == nil {
 		t.Fatal("design without reg-to-reg paths must error")
+	}
+}
+
+// TestNewEngineRejectsUnflattenableArc pins the one NLDM kernel: every arc
+// propagation evaluates must have its four delay/slew tables on one (slew,
+// load) axis pair, so an arc whose fall-delay table uses a different load
+// axis is refused at build time instead of being timed some other way.
+func TestNewEngineRejectsUnflattenableArc(t *testing.T) {
+	inv := lib.MustCell("INVD1")
+	arc := *inv.Arc("I")
+	loads := append([]float64(nil), arc.DelayFall.Loads...)
+	loads[len(loads)-1] *= 2
+	arc.DelayFall = liberty.NewTable(arc.DelayFall.Slews, loads, func(s, l float64) float64 { return s + l })
+	skewed := &cell.Cell{Name: "SKEWINV", Base: "INV", Drive: 1, Fn: inv.Fn, Arch: inv.Arch,
+		WidthCPP: inv.WidthCPP, Inputs: inv.Inputs, Out: inv.Out,
+		Arcs: map[string]*liberty.Arc{"I": &arc}}
+
+	nl := netlist.New("skew", lib)
+	nl.AddPort("clk", netlist.In)
+	nl.MarkClock("clk")
+	nl.MustAdd("ff1", lib.MustCell("DFFD1"), map[string]string{"D": "s1", "CP": "clk", "Q": "s0"})
+	nl.MustAdd("inv", skewed, map[string]string{"I": "s0", "ZN": "s1"})
+	if _, err := NewEngine(nl); err == nil || !strings.Contains(err.Error(), "SKEWINV") {
+		t.Fatalf("NewEngine = %v, want an error naming cell SKEWINV", err)
 	}
 }
 

@@ -8,8 +8,8 @@
 // from seeded per-sample PRNG streams, perturbs a scratch RC view
 // (scaling each affected net's wire capacitance and Elmore delays by its
 // side-weighted multiplier; pin capacitance is overlay-independent), and
-// re-times only the perturbed fanout cones via sta.Engine.ReanalyzeState
-// on a per-worker engine fork. The screening floor keeps the per-sample
+// re-times only the perturbed fanout cones via sta.Engine.ReanalyzeStateCtx
+// on a per-worker engine fork, reducing each sample with SlackStats. The screening floor keeps the per-sample
 // dirty set to the nets whose wire cap actually moves by a material
 // amount: candidates are sorted by wire cap once, a conservative prefix
 // bounds the scan, and a per-net check of the sample's side-blended
@@ -215,7 +215,7 @@ type Sampler struct {
 }
 
 // worker owns one shard's mutable state. Its engine basis is always its
-// own previous sample's view, so the dirty set handed to ReanalyzeState
+// own previous sample's view, so the dirty set handed to ReanalyzeStateCtx
 // is the union of the nets perturbed now and the nets perturbed last
 // time — both ascending candidate-index lists, merged per sample.
 type worker struct {

@@ -8,7 +8,10 @@
 #      encoding with the daemon path);
 #   2. coalescing: the two clients built each staged checkpoint exactly
 #      once between them (misses == 2 on /debug/stats);
-#   3. graceful shutdown: SIGTERM drains and the process exits 0.
+#   3. validation: a CFET flow with backside signal layers is refused with
+#      400 invalid-config before admission (requests.accepted and
+#      checkpoint.misses unchanged);
+#   4. graceful shutdown: SIGTERM drains and the process exits 0.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 18077)
 set -euo pipefail
@@ -97,6 +100,26 @@ if [[ "${DIFF_FORKS}" -lt 1 ]]; then
   exit 1
 fi
 echo "diff-chained sweep byte-identical, sweep counters: $(echo "${STATS}" | jq -c .sweep)"
+
+echo "== impossible pattern refused before admission =="
+BEFORE="$(curl -sf "http://${ADDR}/debug/stats")"
+CODE="$(curl -s -o "${WORK}/cfet.json" -w '%{http_code}' -X POST \
+  -d '{"arch":"CFET","front":4,"back":4,"target_ghz":1.4,"util":0.72}' "http://${ADDR}/v1/flow")"
+KIND="$(jq -r .error.kind "${WORK}/cfet.json")"
+if [[ "${CODE}" != 400 || "${KIND}" != invalid-config ]]; then
+  echo "CFET FM4BM4 flow: want 400 invalid-config, got ${CODE}: $(cat "${WORK}/cfet.json")" >&2
+  exit 1
+fi
+AFTER="$(curl -sf "http://${ADDR}/debug/stats")"
+for F in .requests.accepted .checkpoint.misses; do
+  B="$(echo "${BEFORE}" | jq "${F}")"
+  A="$(echo "${AFTER}" | jq "${F}")"
+  if [[ "${B}" != "${A}" ]]; then
+    echo "refused CFET FM4BM4 flow moved ${F}: ${B} -> ${A}" >&2
+    exit 1
+  fi
+done
+echo "CFET FM4BM4 refused with 400 invalid-config; nothing admitted or built"
 
 echo "== graceful shutdown =="
 kill -TERM "${FFETD_PID}"
