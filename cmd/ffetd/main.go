@@ -9,7 +9,9 @@
 // -oneshot FILE bypasses the daemon entirely: the request JSON in FILE
 // runs through the offline from-scratch path and the response body is
 // printed to stdout — the reference the CI smoke test compares daemon
-// responses against, byte for byte.
+// responses against, byte for byte. It refuses what a daemon started with
+// the same -workers and -queue would refuse before admission, such as a
+// sweep with more values than the two admit at once.
 package main
 
 import (
@@ -45,20 +47,21 @@ func main() {
 	if *scaleFlag == "full" {
 		scale = exp.Full
 	}
-	if *oneshot != "" {
-		if err := runOneshot(*oneshot, scale); err != nil {
-			cliutil.Fail("ffetd", err)
-		}
-		return
-	}
-
-	s, err := serve.New(serve.Options{
+	opt := serve.Options{
 		Scale:       scale,
 		CacheBytes:  *cacheMB << 20,
 		MaxWorkers:  *workers,
 		MaxQueue:    *queue,
 		MemoEntries: *memoEntries,
-	})
+	}
+	if *oneshot != "" {
+		if err := runOneshot(*oneshot, opt); err != nil {
+			cliutil.Fail("ffetd", err)
+		}
+		return
+	}
+
+	s, err := serve.New(opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,10 +111,11 @@ type oneshotRequest struct {
 
 // runOneshot executes the request through the offline from-scratch path
 // — core.RunFlowCtx per point, no sessions, no forking, no caches — and
-// prints exactly the bytes the daemon would respond with. This is the
-// independent reference for the byte-identity smoke test: the two paths
-// share only the config mapping and the Summary encoding.
-func runOneshot(path string, scale exp.Scale) error {
+// prints exactly the bytes a daemon under opt would respond with. This is
+// the independent reference for the byte-identity smoke test: the two
+// paths share only the request checks (FlowSpec.Spec, SweepRequest.Specs)
+// and the Summary encoding.
+func runOneshot(path string, opt serve.Options) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -120,19 +124,15 @@ func runOneshot(path string, scale exp.Scale) error {
 	if err := json.Unmarshal(raw, &req); err != nil {
 		return err
 	}
-	suite, err := exp.NewSuite(scale)
+	suite, err := exp.NewSuite(opt.Scale)
 	if err != nil {
 		return err
 	}
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
 
-	runPoint := func(sp serve.FlowSpec) (json.RawMessage, error) {
-		arch, cfg, err := sp.Config()
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.RunFlowCtx(ctx, suite.Netlist(arch), cfg)
+	runPoint := func(sp exp.Spec) (json.RawMessage, error) {
+		res, err := core.RunFlowCtx(ctx, suite.Netlist(sp.Arch), sp.Cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +142,11 @@ func runOneshot(path string, scale exp.Scale) error {
 	var body []byte
 	switch {
 	case req.Flow != nil:
-		point, err := runPoint(*req.Flow)
+		sp, err := req.Flow.Spec(suite)
+		if err != nil {
+			return err
+		}
+		point, err := runPoint(sp)
 		if err != nil {
 			return err
 		}
@@ -153,7 +157,7 @@ func runOneshot(path string, scale exp.Scale) error {
 			return err
 		}
 	case req.Sweep != nil:
-		specs, err := req.Sweep.Points()
+		specs, err := req.Sweep.Specs(suite, opt)
 		if err != nil {
 			return err
 		}
@@ -170,11 +174,11 @@ func runOneshot(path string, scale exp.Scale) error {
 			return err
 		}
 	case req.MC != nil:
-		arch, cfg, err := req.MC.Base.Config()
+		sp, err := req.MC.Base.Spec(suite)
 		if err != nil {
 			return err
 		}
-		f, err := core.NewFlow(suite.Netlist(arch), cfg)
+		f, err := core.NewFlow(suite.Netlist(sp.Arch), sp.Cfg)
 		if err != nil {
 			return err
 		}

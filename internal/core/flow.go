@@ -8,25 +8,26 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cts"
 	"repro/internal/def"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/place"
 	"repro/internal/power"
 	"repro/internal/powerplan"
 	"repro/internal/route"
 	"repro/internal/sta"
-	"repro/internal/synth"
 	"repro/internal/tech"
 )
 
-// FlowConfig parameterizes one physical implementation + PPA run.
+// FlowConfig parameterizes one physical implementation + PPA run: what
+// the paper's evaluation varies (metal pattern, synthesis target,
+// utilization, back-pin density; the architecture is the netlist's
+// library), the placement seed, the validity rule and the router's
+// options. Every other tool setting of the Fig. 7 flow is fixed: each
+// stage runs its package's DefaultOptions.
 //
-// Every field is consumed by exactly one earliest pipeline stage (see
-// Stage); Flow.Fork diffs two configs against that table to find the
-// deepest shared prefix two runs can reuse.
+// Before is the one table of which stage reads which field; Flow.Fork
+// resumes a fork at the first stage a config delta reaches.
 type FlowConfig struct {
 	Name          string
 	Pattern       tech.Pattern // routing layers per side (e.g. FM12BM12)
@@ -40,14 +41,9 @@ type FlowConfig struct {
 	// MaxDRVs is the validity rule: a P&R result is valid only if the
 	// total design-rule violation count stays below this (paper: 10).
 	MaxDRVs int
-
-	// Stage options (zero values pick defaults).
-	Synth synth.Options
-	Place place.Options
+	// Route tunes the router and is used as given, except that a CFET
+	// run lifts a PinAccessFactor of 1 or less to 1.5.
 	Route route.Options
-	CTS   cts.Options
-	STA   sta.Options
-	Power power.Options
 }
 
 // DefaultFlowConfig returns the evaluation defaults for a target.
@@ -59,17 +55,51 @@ func DefaultFlowConfig(pattern tech.Pattern, targetGHz, util float64) FlowConfig
 		AspectRatio:   1.0,
 		Seed:          1,
 		MaxDRVs:       10,
+		Route:         route.DefaultOptions(),
 	}
+}
+
+// Before returns the config a checkpoint that has run every stage before
+// s is opened under: the fields those stages read come from c, every
+// other field takes its neutral value (DefaultFlowConfig's, over a
+// frontside-only FM1 pattern at 1 GHz and 70% utilization), and Name is
+// empty. It is the one record of which stage reads which field, each
+// listed at its earliest reader (Seed also feeds pin assignment; Pattern,
+// partition and routing), since resuming there re-runs every later stage
+// anyway. Before(Stage(NumStages)) is c without its Name, and every
+// Before of a valid config is valid.
+func (c FlowConfig) Before(s Stage) FlowConfig {
+	n := DefaultFlowConfig(tech.Pattern{Front: 1}, 1, 0.70)
+	if s > StageSynth {
+		n.TargetFreqGHz = c.TargetFreqGHz
+	}
+	if s > StageFloorplan {
+		n.Utilization, n.AspectRatio = c.Utilization, c.AspectRatio
+	}
+	if s > StagePowerplan {
+		n.Pattern = c.Pattern
+	}
+	if s > StagePlace {
+		n.Seed = c.Seed
+	}
+	if s > StagePartition {
+		n.BackPinFraction = c.BackPinFraction
+	}
+	if s > StageRoute {
+		n.Route, n.MaxDRVs = c.Route, c.MaxDRVs
+	}
+	return n
 }
 
 // Validate rejects a config no run on stack st can take: an out-of-range
 // numeric knob (the target frequency must be positive and finite, the
 // utilization in (0, 1], the aspect ratio finite and non-negative — 0
-// picks the default 1.0 — and the back-pin fraction in [0, 1]; NaN fails
-// every check), a metal pattern st.Validate refuses, or backside pins
-// without backside routing layers. Every entry point — NewFlow, Fork,
-// RunFlow and the daemon's request decoding — runs it, so all of them
-// reject a bad config the same way, classified as ErrInvalidConfig.
+// picks the default 1.0 — the back-pin fraction in [0, 1], and the
+// router's gcell edge positive; NaN fails every check), a metal pattern
+// st.Validate refuses, or backside pins without backside routing layers.
+// Every entry point — NewFlow, Fork, RunFlow and the daemon's request
+// decoding — runs it, so all of them reject a bad config the same way,
+// classified as ErrInvalidConfig.
 func (c FlowConfig) Validate(st *tech.Stack) error {
 	var err error
 	switch {
@@ -81,6 +111,8 @@ func (c FlowConfig) Validate(st *tech.Stack) error {
 		err = fmt.Errorf("aspect ratio %v must be finite and non-negative", c.AspectRatio)
 	case !(c.BackPinFraction >= 0 && c.BackPinFraction <= 1):
 		err = fmt.Errorf("back-pin fraction %v must be in [0, 1]", c.BackPinFraction)
+	case c.Route.GCellNm <= 0:
+		err = fmt.Errorf("route gcell edge %d nm must be positive", c.Route.GCellNm)
 	default:
 		if err = st.Validate(c.Pattern); err == nil && c.BackPinFraction > 0 && c.Pattern.Back == 0 {
 			err = fmt.Errorf("backside pins need backside routing layers")

@@ -1,17 +1,19 @@
 // Synth-diff forking: frequency-axis incremental sweeps.
 //
-// Neighboring frequency targets synthesize netlists that differ almost
-// purely by drive resizing (the generator and buffering passes are
-// target-independent). Global placement models every cell at its
-// base-drive footprint (see place.Global), so over such a pair it is a
-// pure function of inputs both runs share. ForkSynthDiff runs the child's
-// own synthesis, checks the resize-only correspondence with netlist.Diff
-// and, when the floorplans coincide, re-stamps the parent's global
-// placement instead of re-placing; the child then runs CTS onward in
-// full. Every gate failure falls back to the normal stage bodies, so a
-// diff fork is bit-identical to a from-scratch fork by construction —
-// core.TestSynthDiffForkMatchesScratch holds both paths to the same
-// artifacts byte for byte.
+// Synthesis runs at fixed options, so two targets synthesize netlists
+// that differ only by drive resizing: the generator and the buffering
+// passes are target-independent. Global placement models every cell at
+// its base-drive footprint (see place.Global), so over such a pair it is
+// a pure function of inputs both runs share. ForkSynthDiff runs the
+// child's own synthesis, checks the resize-only correspondence with
+// netlist.Diff (a guard: a target change alone has not been seen to
+// break it) and, when the floorplans coincide, re-stamps the parent's
+// global placement instead of re-placing; the child then runs CTS onward
+// in full. A hop therefore falls back in practice only when the cell
+// area moved the floorplan. Every gate failure falls back to the normal
+// stage bodies, so a diff fork is bit-identical to a from-scratch fork
+// by construction — core.TestSynthDiffForkMatchesScratch holds both
+// paths to the same artifacts byte for byte.
 package core
 
 import (
@@ -23,7 +25,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/floorplan"
 	"repro/internal/netlist"
-	"repro/internal/synth"
 )
 
 // SynthDiffStats reports which path one synth-diff fork took.
@@ -129,15 +130,13 @@ func (f *Flow) ForkSynthDiffCtx(ctx context.Context, mutate func(*FlowConfig)) (
 	return child, st, nil
 }
 
-// diffDeltaBeyondSynth reports whether two configs differ anywhere other
-// than the fields StageSynth consumes (target frequency, synth options)
-// and the cosmetic Name. Any other delta would invalidate re-stamping the
-// parent's global placement.
+// diffDeltaBeyondSynth reports whether b differs from a in anything but
+// the synthesis target: with the target put back, a fork of a under b
+// would still re-run some stage. Any such delta would invalidate
+// re-stamping the parent's global placement.
 func diffDeltaBeyondSynth(a, b FlowConfig) bool {
-	a.Name, b.Name = "", ""
-	a.TargetFreqGHz, b.TargetFreqGHz = 0, 0
-	a.Synth, b.Synth = synth.Options{}, synth.Options{}
-	return a != b
+	b.TargetFreqGHz = a.TargetFreqGHz
+	return firstAffectedStage(a, b) != Stage(NumStages)
 }
 
 // samePlan reports structural floorplan equality: same core rectangle and

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/riscv"
-	"repro/internal/synth"
 	"repro/internal/tech"
 )
 
@@ -63,8 +62,10 @@ func diffVsScratch(t *testing.T, parent *Flow, mutate func(*FlowConfig)) (*Flow,
 
 // TestSynthDiffForkMatchesScratch is the tentpole property test: across
 // neighboring-target pairs — resize-free, genuinely resized, chained,
-// fallback-distance and topology-changed — the synth-diff fork's complete
-// artifact set is byte-identical to a from-scratch fork's.
+// fallback-distance and cross-stage — the synth-diff fork's complete
+// artifact set is byte-identical to a from-scratch fork's. (The
+// structural gate's fallback is covered by TestSynthDiffForkFaultFallback:
+// no target change alone has been seen to break it.)
 func TestSynthDiffForkMatchesScratch(t *testing.T) {
 	cfg := DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 2.0, 0.72)
 	cfg.BackPinFraction = 0.5
@@ -114,17 +115,6 @@ func TestSynthDiffForkMatchesScratch(t *testing.T) {
 		}
 	})
 
-	t.Run("fallback_topology_change", func(t *testing.T) {
-		// A synthesis-option change rebuilds different buffer trees: the
-		// netlists diverge structurally and the diff gate must refuse.
-		_, st := diffVsScratch(t, parent, func(c *FlowConfig) {
-			c.Synth = defaultSynthWith(c.TargetFreqGHz, 4)
-		})
-		if st.DiffPath {
-			t.Errorf("topology change should fall back, got %+v", st)
-		}
-	})
-
 	t.Run("fallback_delta_beyond_synth", func(t *testing.T) {
 		// A delta that also moves a later-stage knob (utilization) cannot
 		// adopt the parent's floorplan-derived state.
@@ -136,12 +126,6 @@ func TestSynthDiffForkMatchesScratch(t *testing.T) {
 			t.Errorf("cross-stage delta should fall back, got %+v", st)
 		}
 	})
-}
-
-func defaultSynthWith(tgt float64, maxFanout int) synth.Options {
-	o := synth.DefaultOptions(tgt)
-	o.MaxFanout = maxFanout
-	return o
 }
 
 // TestSynthDiffForkFaultFallback drives an injected fault into each diff

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/route"
 	"repro/internal/tech"
 )
 
@@ -52,6 +53,10 @@ func TestErrInvalidConfigTaxonomy(t *testing.T) {
 		{"backpins_neg_inf", func(c *FlowConfig) { c.BackPinFraction = -inf }},
 		{"backpins_above_one", func(c *FlowConfig) { c.BackPinFraction = 1.5 }},
 		{"backpins_negative", func(c *FlowConfig) { c.BackPinFraction = -0.2 }},
+		// A partly set Route is run as given, so one without a gcell
+		// edge is refused rather than replaced by the defaults.
+		{"route_partial", func(c *FlowConfig) { c.Route = route.Options{CapacityFactor: 2} }},
+		{"route_gcell_negative", func(c *FlowConfig) { c.Route.GCellNm = -1000 }},
 	}
 	nl := smallCore(t, ffetLib)
 	parent, err := NewFlow(nl, robustCfg())

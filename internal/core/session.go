@@ -85,35 +85,15 @@ var stageFns = [NumStages]func(*Flow) error{
 }
 
 // firstAffectedStage returns the earliest pipeline stage whose inputs
-// differ between two configs — the stage a forked session must resume
-// from. Cases are ordered by stage; a field consumed by several stages
-// (Seed feeds placement and pin assignment, Pattern feeds powerplan,
-// partition and routing) is listed at its earliest consumer, since
-// resuming there re-runs every later stage anyway. Returns
-// Stage(NumStages) when no stage reads a changed field (e.g. only the
-// cosmetic Name differs).
+// differ between two configs (FlowConfig.Before), the stage a forked
+// session must resume from; Stage(NumStages) when no stage reads a
+// changed field (only the cosmetic Name differs).
 func firstAffectedStage(old, new FlowConfig) Stage {
-	switch {
-	case old.TargetFreqGHz != new.TargetFreqGHz || old.Synth != new.Synth:
-		return StageSynth
-	case old.Utilization != new.Utilization || old.AspectRatio != new.AspectRatio:
-		return StageFloorplan
-	case old.Pattern != new.Pattern:
-		return StagePowerplan
-	case old.Seed != new.Seed || old.Place != new.Place:
-		return StagePlace
-	case old.CTS != new.CTS:
-		return StageCTS
-	case old.BackPinFraction != new.BackPinFraction:
-		return StagePartition
-	case old.Route != new.Route || old.MaxDRVs != new.MaxDRVs:
-		return StageRoute
-	case old.STA != new.STA:
-		return StageSTA
-	case old.Power != new.Power:
-		return StagePower
+	s := StageSynth
+	for int(s) < NumStages && old.Before(s+1) == new.Before(s+1) {
+		s++
 	}
-	return Stage(NumStages)
+	return s
 }
 
 // Flow is one checkpointable physical-implementation session: the
@@ -295,10 +275,6 @@ func (f *Flow) VariationBasis() (*variation.Basis, error) {
 	if f.staEng == nil {
 		return nil, fmt.Errorf("core: session has no retained timing basis")
 	}
-	staOpt := f.cfg.STA
-	if staOpt.InputSlewPs == 0 {
-		staOpt = sta.DefaultOptions()
-	}
 	fw := make([]int64, len(f.work.Nets))
 	bw := make([]int64, len(f.work.Nets))
 	for _, n := range f.work.Nets {
@@ -313,7 +289,7 @@ func (f *Flow) VariationBasis() (*variation.Basis, error) {
 		Engine:         f.staEng,
 		NetRC:          f.netRC,
 		ClockArrivalPs: f.ctsRes.ArrivalPs,
-		STAOpt:         staOpt,
+		STAOpt:         sta.DefaultOptions(),
 		PeriodPs:       1000.0 / f.cfg.TargetFreqGHz,
 		FrontWirelenNm: fw,
 		BackWirelenNm:  bw,
@@ -487,10 +463,12 @@ func (f *Flow) stageCtx() context.Context {
 // Forking never executes stages: if the parent has not yet reached the
 // divergence stage, the child simply resumes wherever the parent
 // stopped. Run the parent to the deepest shared stage first (e.g.
-// RunTo(StageCTS) before a BackPinFraction sweep) to maximize reuse. A
-// child resuming at StageCTS (a CTS-option delta) re-runs the clock
-// tree, legalization and refinement in full on its own snapshot of the
-// parent's global placement.
+// RunTo(StageCTS) before a BackPinFraction sweep) to maximize reuse. No
+// config delta first reaches StageCTS, StageExtract, StageSTA or
+// StagePower, so a child resumes at one of them only when its parent
+// stopped there; one resuming at StageCTS (a parent stopped after
+// StagePlace) re-runs the clock tree, legalization and refinement in full
+// on its own snapshot of the parent's global placement.
 //
 // Fork is safe under arbitrary concurrency: forking a parent that is
 // mid-RunTo fails fast with ErrForkRace (no partial checkpoint is ever
@@ -675,11 +653,7 @@ func copyResultPrefix(dst, src *FlowResult, upTo Stage) {
 
 // stageSynth sizes and buffers a copy of the input netlist.
 func (f *Flow) stageSynth() error {
-	sopt := f.cfg.Synth
-	if sopt.TargetFreqGHz == 0 {
-		sopt = synth.DefaultOptions(f.cfg.TargetFreqGHz)
-	}
-	syn, err := synth.Run(f.input, sopt)
+	syn, err := synth.Run(f.input, synth.DefaultOptions(f.cfg.TargetFreqGHz))
 	if err != nil {
 		return err
 	}
@@ -725,11 +699,8 @@ func (f *Flow) stagePowerplan() error {
 
 // stagePlace runs global placement (and IO port placement).
 func (f *Flow) stagePlace() error {
-	popt := f.cfg.Place
-	if popt.GlobalIters == 0 {
-		popt = place.DefaultOptions()
-		popt.Seed = f.cfg.Seed
-	}
+	popt := place.DefaultOptions()
+	popt.Seed = f.cfg.Seed
 	if err := place.GlobalCtx(f.stageCtx(), f.work, f.fp, popt); err != nil {
 		return err
 	}
@@ -743,11 +714,7 @@ func (f *Flow) stagePlace() error {
 // placement (CTS buffers included); a legalization failure halts the run
 // as invalid.
 func (f *Flow) stageCTS() error {
-	copt := f.cfg.CTS
-	if copt.MaxLeafFanout == 0 {
-		copt = cts.DefaultOptions()
-	}
-	ctsRes, err := cts.Run(f.work, f.fp, copt)
+	ctsRes, err := cts.Run(f.work, f.fp, cts.DefaultOptions())
 	if err != nil {
 		return err
 	}
@@ -792,9 +759,6 @@ func (f *Flow) stagePartition() error {
 // only valid points; callers filter on Valid).
 func (f *Flow) stageRoute() error {
 	ropt := f.cfg.Route
-	if ropt.GCellNm == 0 {
-		ropt = route.DefaultOptions()
-	}
 	if f.st.Arch == tech.CFET && ropt.PinAccessFactor <= 1 {
 		// Every CFET pin is reached from the single frontside through a
 		// 4T-tall cell whose drain supervias block access tracks; the
@@ -897,10 +861,6 @@ func (f *Flow) stageExtract() error {
 
 // stageSTA analyzes timing over the extracted RC database.
 func (f *Flow) stageSTA() error {
-	staOpt := f.cfg.STA
-	if staOpt.InputSlewPs == 0 {
-		staOpt = sta.DefaultOptions()
-	}
 	eng, err := sta.NewEngine(f.work)
 	if err != nil {
 		return err
@@ -910,7 +870,7 @@ func (f *Flow) stageSTA() error {
 	// reusable storage.
 	staRes := &sta.Result{}
 	in := sta.Input{NetRC: f.netRC, ClockArrivalPs: f.ctsRes.ArrivalPs}
-	if err := eng.AnalyzeIntoCtx(f.stageCtx(), staRes, in, staOpt); err != nil {
+	if err := eng.AnalyzeIntoCtx(f.stageCtx(), staRes, in, sta.DefaultOptions()); err != nil {
 		return err
 	}
 	f.staEng = eng
@@ -922,11 +882,7 @@ func (f *Flow) stageSTA() error {
 
 // stagePower runs power analysis at the achieved frequency.
 func (f *Flow) stagePower() error {
-	pwOpt := f.cfg.Power
-	if pwOpt.Activity == 0 {
-		pwOpt = power.DefaultOptions()
-	}
-	pw := power.Analyze(f.work, f.st, f.netRC, f.res.AchievedFreqGHz, pwOpt)
+	pw := power.Analyze(f.work, f.st, f.netRC, f.res.AchievedFreqGHz, power.DefaultOptions())
 	f.res.Power = pw
 	f.res.PowerUW = pw.TotalUW
 	f.res.EffGHzPerW = pw.EfficiencyGHzPerW()

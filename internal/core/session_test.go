@@ -9,9 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cts"
 	"repro/internal/def"
-	"repro/internal/power"
 	"repro/internal/tech"
 	"repro/internal/variation"
 )
@@ -89,29 +87,33 @@ func TestFlowRunToIsIdempotent(t *testing.T) {
 }
 
 // forkCase is one config mutation and the stage the fork must resume at.
+// A stopped case forks a parent run only up to the stage before resume:
+// no config delta first reaches StageCTS or StagePower, so a rename
+// resumes there only because the parent stopped there.
 type forkCase struct {
-	name   string
-	mutate func(*FlowConfig)
-	resume Stage
+	name    string
+	mutate  func(*FlowConfig)
+	resume  Stage
+	stopped bool
 }
 
+func rename(c *FlowConfig) { c.Name = "renamed" }
+
 var forkCases = []forkCase{
-	{"backpins", func(c *FlowConfig) { c.BackPinFraction = 0.16 }, StagePartition},
-	{"util", func(c *FlowConfig) { c.Utilization = 0.68 }, StageFloorplan},
-	{"pattern", func(c *FlowConfig) { c.Pattern = tech.Pattern{Front: 8, Back: 4} }, StagePowerplan},
-	{"seed", func(c *FlowConfig) { c.Seed = 7 }, StagePlace},
+	{"backpins", func(c *FlowConfig) { c.BackPinFraction = 0.16 }, StagePartition, false},
+	{"util", func(c *FlowConfig) { c.Utilization = 0.68 }, StageFloorplan, false},
+	{"pattern", func(c *FlowConfig) { c.Pattern = tech.Pattern{Front: 8, Back: 4} }, StagePowerplan, false},
+	{"seed", func(c *FlowConfig) { c.Seed = 7 }, StagePlace, false},
 	// Resuming at StageCTS is the one fork path that consumes the
 	// post-global-placement checkpoint (placeSnap.Snapshot).
-	{"cts", func(c *FlowConfig) { c.CTS = cts.Options{MaxLeafFanout: 12, BufferDrive: 4} }, StageCTS},
-	{"target", func(c *FlowConfig) { c.TargetFreqGHz = 2.0 }, StageSynth},
-	{"maxdrvs", func(c *FlowConfig) { c.MaxDRVs = 1 }, StageRoute},
+	{"cts", rename, StageCTS, true},
+	{"target", func(c *FlowConfig) { c.TargetFreqGHz = 2.0 }, StageSynth, false},
+	{"maxdrvs", func(c *FlowConfig) { c.MaxDRVs = 1 }, StageRoute, false},
+	{"route", func(c *FlowConfig) { c.Route.HistoryGain = 2 }, StageRoute, false},
 	// Resuming after StageSTA shares the parent's timing engine read-only,
 	// which must still serve as a Monte Carlo basis.
-	{"power", func(c *FlowConfig) {
-		c.Power = power.DefaultOptions()
-		c.Power.Activity = 0.21
-	}, StagePower},
-	{"identity", func(c *FlowConfig) { c.Name = "renamed" }, Stage(NumStages)},
+	{"power", rename, StagePower, true},
+	{"identity", rename, Stage(NumStages), false},
 }
 
 // TestFlowForkMatchesScratch is the fork-correctness contract: for every
@@ -135,6 +137,16 @@ func TestFlowForkMatchesScratch(t *testing.T) {
 
 	for _, fc := range forkCases {
 		t.Run(fc.name, func(t *testing.T) {
+			parent := parent
+			if fc.stopped {
+				var err error
+				if parent, err = NewFlow(nl, base); err != nil {
+					t.Fatal(err)
+				}
+				if err := parent.RunTo(fc.resume - 1); err != nil {
+					t.Fatal(err)
+				}
+			}
 			child, err := parent.Fork(fc.mutate)
 			if err != nil {
 				t.Fatal(err)
@@ -155,7 +167,7 @@ func TestFlowForkMatchesScratch(t *testing.T) {
 			if _, err := child.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if fc.resume == StagePower {
+			if fc.resume > StageSTA {
 				checkSharedVariationBasis(t, parent, child)
 			}
 
@@ -439,8 +451,8 @@ func TestFlowDEFNeedsRoute(t *testing.T) {
 // TestFlowDEFConcurrentForks renders layouts concurrently on sibling
 // forks of one placed checkpoint while the parent finishes its own
 // pipeline: re-routed siblings share the netlist, floorplan and powerplan
-// (tap components included, first rendered here), and power-option forks
-// of each share its routed trees too. Every concurrent render must equal
+// (tap components included, first rendered here), and renamed forks of
+// each share its routed trees too. Every concurrent render must equal
 // a serial render of the same session afterwards. Run with -race
 // -count=10.
 func TestFlowDEFConcurrentForks(t *testing.T) {
@@ -463,8 +475,8 @@ func TestFlowDEFConcurrentForks(t *testing.T) {
 			t.Fatal(err)
 		}
 		sibs = append(sibs, child)
-		for _, act := range []float64{0.1, 0.3} {
-			g, err := child.Fork(func(c *FlowConfig) { c.Power.Activity = act })
+		for _, name := range []string{"a", "b"} {
+			g, err := child.Fork(func(c *FlowConfig) { c.Name = name })
 			if err != nil {
 				t.Fatal(err)
 			}

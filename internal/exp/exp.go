@@ -4,14 +4,16 @@
 // harness at the repository root and cmd/ffetexp both drive this package.
 //
 // It also holds the one sweep orchestration every caller shares: the
-// pure planner PlanSweep (dedupe by MemoKey, group by PrefixClass, chain
-// groups along the synthesis target) and the executor Suite.Execute
-// (leaders diff-fork their chain predecessor or fork the class prefix,
-// siblings fork the class prefix alongside their leader, roots and
-// prefixes are built once per call). The batch tables run it with no
-// checkpoint store and retain nothing staged across calls; the serve
-// daemon runs it over a Store, the byte-bounded cross-call checkpoint
-// LRU.
+// pure planner PlanSweep (dedupe by MemoKey, group by the placed prefix
+// each point forks, chain groups along the synthesis target) and the
+// executor Suite.Execute (leaders diff-fork their chain predecessor or
+// fork the group's prefix, siblings fork the prefix alongside their
+// leader, roots and prefixes are built once per call). Which checkpoint
+// a point shares is core's to say: roots and prefixes are keyed by, and
+// opened under, core.FlowConfig.Before at the stage they resume at. The
+// batch tables run it with no checkpoint store and retain nothing staged
+// across calls; the serve daemon runs it over a Store, the byte-bounded
+// cross-call checkpoint LRU.
 package exp
 
 import (
@@ -26,9 +28,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/place"
 	"repro/internal/riscv"
-	"repro/internal/synth"
 	"repro/internal/tech"
 )
 
@@ -212,11 +212,8 @@ func (s *Suite) ctx() context.Context {
 // RunKey is the comparable memo key of a flow run: the architecture and
 // the entire FlowConfig (which is comparable) at full float precision,
 // minus only the cosmetic Name, which no stage reads. Embedding the
-// whole config means every result-affecting field — including MaxDRVs
-// and the per-stage option structs — keeps distinct memo entries. (The
-// old key stringified six fields at %.3f, so two configs closer than
-// 1e-3, or differing only in stage options, could collide on one
-// entry.)
+// whole config means every result-affecting field — MaxDRVs and the
+// router options included — keeps distinct memo entries.
 type RunKey struct {
 	arch tech.Arch
 	cfg  core.FlowConfig
@@ -229,76 +226,6 @@ type RunKey struct {
 func MemoKey(arch tech.Arch, cfg core.FlowConfig) RunKey {
 	cfg.Name = ""
 	return RunKey{arch: arch, cfg: cfg}
-}
-
-// SynthClass identifies the synthesis-input class of a run: two configs in
-// the same class produce identical StageSynth output, so their sessions
-// can fork off one shared root.
-type SynthClass struct {
-	arch   tech.Arch
-	target float64
-	synth  synth.Options
-}
-
-// PrefixClass identifies the placed prefix class: configs in the same
-// class share everything through StagePlace. CTS options are deliberately
-// not part of the key — a point whose CTS delta diverges from its base
-// forks at StageCTS and re-runs the clock tree, legalization and
-// refinement from the prefix's global placement, so CTS-option sweeps
-// share one placed prefix instead of re-placing per option. Points that
-// also match the base's CTS diverge at StagePartition or later (back-pin
-// fraction, routing, analysis knobs).
-type PrefixClass struct {
-	sk      SynthClass
-	util    float64
-	aspect  float64
-	pattern tech.Pattern
-	seed    int64
-	place   place.Options
-}
-
-// ClassOf computes the prefix class of (arch, cfg); it refines the
-// synthesis class. The planner groups by it and the checkpoint store keys
-// its sessions by both.
-func ClassOf(arch tech.Arch, cfg core.FlowConfig) PrefixClass {
-	return PrefixClass{
-		sk:      SynthClass{arch: arch, target: cfg.TargetFreqGHz, synth: cfg.Synth},
-		util:    cfg.Utilization,
-		aspect:  cfg.AspectRatio,
-		pattern: cfg.Pattern,
-		seed:    cfg.Seed,
-		place:   cfg.Place,
-	}
-}
-
-// RootConfig returns the neutralized config a synthesis-root session of
-// this class is opened under: only the class fields (target frequency,
-// synthesis options) are set, everything else is the default single-sided
-// configuration. A root built under it is valid for every class member —
-// its stored session (or its build error) can never depend on per-point
-// fields like Pattern or BackPinFraction.
-func (sc SynthClass) RootConfig() core.FlowConfig {
-	cfg := core.DefaultFlowConfig(tech.Pattern{Front: 1}, sc.target, 0.70)
-	cfg.Synth = sc.synth
-	return cfg
-}
-
-// Config returns the neutralized config of this class's
-// placed-and-clocked prefix: every field the prefix stages read
-// (synthesis class, pattern, utilization, aspect, seed, placement
-// options) comes from the class; the point-divergent fields stay at
-// defaults (BackPinFraction 0, default CTS/route/analysis options). A
-// prefix staged under it through StageCTS is a valid fork base for any
-// class member — a point's Fork resumes at StageCTS or StagePartition
-// depending on its own delta — and is identical no matter which point
-// arrived first, which is what a cross-call checkpoint store needs.
-func (pc PrefixClass) Config() core.FlowConfig {
-	cfg := core.DefaultFlowConfig(pc.pattern, pc.sk.target, pc.util)
-	cfg.Synth = pc.sk.synth
-	cfg.AspectRatio = pc.aspect
-	cfg.Seed = pc.seed
-	cfg.Place = pc.place
-	return cfg
 }
 
 // Run executes (or recalls) one flow run: a one-point sweep.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
@@ -194,7 +193,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // prefix, points sharing a placed-and-clocked prefix, and a lone CFET
 // point — exercising every level of the fork tree. The siblings of the
 // 70% group carry a back-pin delta, a validity-threshold delta (MaxDRVs)
-// and an STA-option delta; each forks the group's prefix alongside the
+// and a router-option delta; each forks the group's prefix alongside the
 // leader and runs partition onward.
 func sweepTable(t *testing.T, s *Suite) *Table {
 	t.Helper()
@@ -210,11 +209,10 @@ func sweepTable(t *testing.T, s *Suite) *Table {
 	drvs.BackPinFraction = 0.5
 	drvs.MaxDRVs = 500
 	specs = append(specs, Spec{tech.FFET, drvs})
-	staPt := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
-	staPt.BackPinFraction = 0.5
-	staPt.STA = sta.DefaultOptions()
-	staPt.STA.InputSlewPs = 18
-	specs = append(specs, Spec{tech.FFET, staPt})
+	routePt := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
+	routePt.BackPinFraction = 0.5
+	routePt.Route.HistoryGain = 2
+	specs = append(specs, Spec{tech.FFET, routePt})
 	specs = append(specs, Spec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, 0.70)})
 	// Repeat the first point: memo dedup must hand back the same result.
 	specs = append(specs, specs[0])
@@ -394,11 +392,11 @@ func TestRunKeyPrecision(t *testing.T) {
 	if MemoKey(tech.FFET, a) == MemoKey(tech.CFET, a) {
 		t.Error("arch not part of the key")
 	}
-	// Stage options and MaxDRVs change results, so they must be keyed.
+	// Router options and MaxDRVs change results, so they must be keyed.
 	c := a
-	c.CTS.MaxLeafFanout = 12
+	c.Route.GCellNm = 500
 	if MemoKey(tech.FFET, a) == MemoKey(tech.FFET, c) {
-		t.Error("CTS options not part of the key")
+		t.Error("router options not part of the key")
 	}
 	d := a
 	d.MaxDRVs = 1

@@ -97,8 +97,8 @@ func TestPlanSweep(t *testing.T) {
 					var ps [][]int
 					for _, p := range g.Points {
 						ps = append(ps, pl.Points[p].Idxs)
-						if ClassOf(pl.Points[p].Spec.Arch, pl.Points[p].Spec.Cfg) != g.Class {
-							t.Errorf("point %d outside its group's class", p)
+						if keyAt(core.StagePartition, pl.Points[p].Spec.Arch, pl.Points[p].Spec.Cfg) != g.prefix {
+							t.Errorf("point %d outside its group's prefix", p)
 						}
 						seen++
 					}

@@ -6,14 +6,24 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/tech"
 )
 
-// ckKey is the comparable identity of one checkpoint: the sharing class
-// of the staged work it holds. A synthesis root's pc carries only the
-// synthesis class.
+// ckKey identifies a shared checkpoint: the stage it resumes at
+// (StageFloorplan for a synthesis root, StagePartition for a
+// placed-and-clocked prefix) and the run key of the config it is opened
+// under, core.FlowConfig.Before(at). Every point whose config agrees on
+// the fields the stages before at read maps to one key, and the
+// checkpoint never depends on which of them built it. The planner groups
+// by the prefix key, and the checkpoint store keys its sessions by both.
 type ckKey struct {
-	prefix bool
-	pc     PrefixClass
+	at core.Stage
+	RunKey
+}
+
+// keyAt returns the key of the checkpoint of (arch, cfg) at stage at.
+func keyAt(at core.Stage, arch tech.Arch, cfg core.FlowConfig) ckKey {
+	return ckKey{at: at, RunKey: RunKey{arch: arch, cfg: cfg.Before(at)}}
 }
 
 // storeEntry is one stored checkpoint. Until ready closes, the entry is a

@@ -15,7 +15,7 @@ import (
 func TestEvictionScoring(t *testing.T) {
 	mkKey := func(target float64) ckKey {
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 4, Back: 4}, target, 0.7)
-		return ckKey{pc: PrefixClass{sk: ClassOf(tech.FFET, cfg).sk}}
+		return keyAt(core.StageFloorplan, tech.FFET, cfg)
 	}
 	c := NewStore(context.Background(), 100)
 	add := func(target float64, bytes, costNs int64) *storeEntry {

@@ -25,16 +25,17 @@ type Point struct {
 	Idxs []int
 }
 
-// Group is the plan points sharing one placed-and-clocked prefix.
-// Points[0] leads; the others are its siblings.
+// Group is the plan points sharing one placed-and-clocked prefix: the
+// checkpoint of their configs' Before(StagePartition). Points[0] leads;
+// the others are its siblings.
 type Group struct {
-	Class  PrefixClass
+	prefix ckKey
 	Points []int // indices into Plan.Points
 }
 
 // Plan is a sweep mapped onto the executor's work: its distinct pending
-// points, grouped by prefix class, the groups chained along the
-// synthesis target.
+// points, grouped by prefix, the groups chained along the synthesis
+// target.
 type Plan struct {
 	Points []Point
 	// Chains hold every group exactly once. A chain's groups differ only
@@ -52,14 +53,15 @@ const DiffChainMaxRelGap = 0.12
 
 // PlanSweep maps specs to a plan without running any flow. cached, when
 // non-nil, reports whether the caller's memo already answered spec i;
-// those specs drop out. The rest dedupe by MemoKey, group by PrefixClass
-// (first seen leads) and chain by target.
+// those specs drop out. The rest dedupe by MemoKey, group by prefix key
+// (first seen leads) and chain by target: groups whose prefix keys differ
+// only in the target share a chain.
 func PlanSweep(specs []Spec, cached func(i int) bool) *Plan {
 	pl := &Plan{}
 	points := make(map[RunKey]int)
-	groups := make(map[PrefixClass]*Group)
-	chains := make(map[PrefixClass][]*Group) // keyed by the target-free class
-	var chainOrder []PrefixClass
+	groups := make(map[ckKey]*Group)
+	chains := make(map[ckKey][]*Group) // keyed by the target-free prefix key
+	var chainOrder []ckKey
 	for i, sp := range specs {
 		if cached != nil && cached(i) {
 			continue
@@ -72,13 +74,13 @@ func PlanSweep(specs []Spec, cached func(i int) bool) *Plan {
 		p := len(pl.Points)
 		points[key] = p
 		pl.Points = append(pl.Points, Point{Spec: sp, Idxs: []int{i}})
-		pc := ClassOf(sp.Arch, sp.Cfg)
-		g := groups[pc]
+		pk := keyAt(core.StagePartition, sp.Arch, sp.Cfg)
+		g := groups[pk]
 		if g == nil {
-			g = &Group{Class: pc}
-			groups[pc] = g
-			ck := pc
-			ck.sk.target, ck.sk.synth.TargetFreqGHz = 0, 0
+			g = &Group{prefix: pk}
+			groups[pk] = g
+			ck := pk
+			ck.cfg.TargetFreqGHz = 0
 			if _, ok := chains[ck]; !ok {
 				chainOrder = append(chainOrder, ck)
 			}
@@ -88,12 +90,12 @@ func PlanSweep(specs []Spec, cached func(i int) bool) *Plan {
 	}
 	for _, ck := range chainOrder {
 		gs := chains[ck]
-		sort.SliceStable(gs, func(a, b int) bool { return gs[a].Class.sk.target < gs[b].Class.sk.target })
+		sort.SliceStable(gs, func(a, b int) bool { return gs[a].target() < gs[b].target() })
 		for len(gs) > 0 {
 			j := 1
 			for ; j < len(gs); j++ {
-				lo := gs[j-1].Class.sk.target
-				if lo <= 0 || gs[j].Class.sk.target-lo > DiffChainMaxRelGap*lo {
+				lo := gs[j-1].target()
+				if lo <= 0 || gs[j].target()-lo > DiffChainMaxRelGap*lo {
 					break
 				}
 			}
@@ -104,12 +106,15 @@ func PlanSweep(specs []Spec, cached func(i int) bool) *Plan {
 	return pl
 }
 
+// target is the synthesis target of the group's points.
+func (g *Group) target() float64 { return g.prefix.cfg.TargetFreqGHz }
+
 // Report counts what one executor call did. Suite.Stats and the serve
 // daemon's sweep statistics are sums of these reports.
 type Report struct {
 	// Group leaders that forked their chain predecessor through the
 	// synth-diff path and stayed on it, leaders whose diff attempt fell
-	// back to the full pipeline, and leaders that forked the class prefix
+	// back to the full pipeline, and leaders that forked the group prefix
 	// with no diff attempt.
 	DiffForks      int64 `json:"diff_forks"`
 	DiffFallbacks  int64 `json:"diff_fallbacks"`
@@ -169,13 +174,14 @@ type Exec struct {
 // Execute runs a plan. Each chain runs its groups in target order. A
 // group's leader forks its chain predecessor's completed leader through
 // the synth-diff path (core.Flow.ForkSynthDiff) or, with no predecessor
-// or on a hard fork failure, the class prefix. Siblings start alongside
-// their leader and fork the class prefix, so no point waits for another
+// or on a hard fork failure, the group's prefix. Siblings start alongside
+// their leader and fork that prefix, so no point waits for another
 // point's flow. Synthesis roots and prefixes are plan nodes, built at
-// most once per call by the first point that needs one, under the
-// class's neutral config (SynthClass.RootConfig, PrefixClass.Config) so
-// a node never depends on which point built it. A root lives for the
-// call, a prefix only as long as its group's points.
+// most once per call by the first point that needs one, under the config
+// core.FlowConfig.Before gives at the stage they resume at
+// (Before(StageFloorplan) for a root, Before(StagePartition) for a
+// prefix), so a node never depends on which point built it. A root lives
+// for the call, a prefix only as long as its group's points.
 //
 // Failures are contained per point: a dead point (hard error, contained
 // panic, cancellation) reports its classified error while its siblings
@@ -223,7 +229,7 @@ type executor struct {
 	s     *Suite
 	x     Exec
 	plan  *Plan
-	roots sync.Map // SynthClass -> *node; prefix nodes belong to their group
+	roots sync.Map // root ckKey -> *node; prefix nodes belong to their group
 	mu    sync.Mutex
 	rep   Report // guarded by mu until the call drains
 }
@@ -307,21 +313,21 @@ func (e *executor) leader(g *Group, pn *node, prev *core.Flow) *core.Flow {
 			}
 		}
 		e.count(&e.rep.FullSynthForks)
-		return e.forkDrive(p, cfg, g.Class, pn)
+		return e.forkDrive(p, cfg, g.prefix, pn)
 	})
 }
 
 // sibling runs point p of group g off the prefix node pn.
 func (e *executor) sibling(g *Group, pn *node, p int) {
 	e.unit(p, "exp.leaf", func(cfg core.FlowConfig) (*core.FlowResult, *core.Flow, error) {
-		return e.forkDrive(p, cfg, g.Class, pn)
+		return e.forkDrive(p, cfg, g.prefix, pn)
 	})
 }
 
-// forkDrive forks class pc's prefix, node pn, under cfg and drives the
-// fork to completion.
-func (e *executor) forkDrive(p int, cfg core.FlowConfig, pc PrefixClass, pn *node) (*core.FlowResult, *core.Flow, error) {
-	base, err := e.prefix(p, pc, pn)
+// forkDrive forks the prefix under key pk, node pn, under cfg and drives
+// the fork to completion.
+func (e *executor) forkDrive(p int, cfg core.FlowConfig, pk ckKey, pn *node) (*core.FlowResult, *core.Flow, error) {
+	base, err := e.prefix(p, pk, pn)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -348,23 +354,24 @@ func (e *executor) drive(p int, f *core.Flow) (*core.FlowResult, *core.Flow, err
 	return f.Result(), f, nil
 }
 
-// prefix resolves class pc's placed-and-clocked prefix, node pn, for
-// point p: a fork of the synthesis root run through StageCTS under the
-// class's neutral config.
-func (e *executor) prefix(p int, pc PrefixClass, pn *node) (*core.Flow, error) {
-	return e.resolve(e.x.Ctx, p, pn, ckKey{prefix: true, pc: pc}, func(ctx context.Context) (*core.Flow, error) {
+// prefix resolves the placed-and-clocked prefix under key pk, node pn,
+// for point p: a fork of the synthesis root run through StageCTS under
+// the key's config.
+func (e *executor) prefix(p int, pk ckKey, pn *node) (*core.Flow, error) {
+	return e.resolve(e.x.Ctx, p, pn, pk, func(ctx context.Context) (*core.Flow, error) {
 		if err := faultinject.Fire("exp.group"); err != nil {
 			return nil, err
 		}
 		// The root is resolved inside the prefix build, so it waits under
 		// the build's context: a stored prefix must not die with the
 		// request that happened to start it.
-		rn, _ := e.roots.LoadOrStore(pc.sk, &node{})
-		root, err := e.resolve(ctx, p, rn.(*node), ckKey{pc: PrefixClass{sk: pc.sk}}, func(ctx context.Context) (*core.Flow, error) {
+		rk := keyAt(core.StageFloorplan, pk.arch, pk.cfg)
+		rn, _ := e.roots.LoadOrStore(rk, &node{})
+		root, err := e.resolve(ctx, p, rn.(*node), rk, func(ctx context.Context) (*core.Flow, error) {
 			if err := faultinject.Fire("exp.synthroot"); err != nil {
 				return nil, err
 			}
-			f, err := core.NewFlow(e.s.Netlist(pc.sk.arch), pc.sk.RootConfig())
+			f, err := core.NewFlow(e.s.Netlist(rk.arch), rk.cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -373,8 +380,7 @@ func (e *executor) prefix(p int, pc PrefixClass, pn *node) (*core.Flow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := pc.Config()
-		f, err := root.Fork(func(c *core.FlowConfig) { *c = cfg })
+		f, err := root.Fork(func(c *core.FlowConfig) { *c = pk.cfg })
 		if err != nil {
 			return nil, err
 		}
@@ -402,10 +408,11 @@ func (e *executor) resolve(ctx context.Context, p int, n *node, key ckKey, build
 	})
 	hit = hit && n.err == nil
 	kind, c := "synth", &e.rep.SynthRootMisses
+	prefix := key.at == core.StagePartition
 	switch {
-	case key.prefix && hit:
+	case prefix && hit:
 		kind, c = "prefix", &e.rep.PrefixHits
-	case key.prefix:
+	case prefix:
 		kind, c = "prefix", &e.rep.PrefixMisses
 	case hit:
 		c = &e.rep.SynthRootHits

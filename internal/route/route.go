@@ -62,9 +62,6 @@ type Options struct {
 	// frontside through a 4T-tall cell whose drain supervias block access
 	// tracks; the FFET's symmetric structure removes them (Section II.B).
 	PinAccessFactor float64
-	// StaticDerate removes a fraction of every edge's capacity before
-	// routing (reserved; 0 by default).
-	StaticDerate float64
 	// HistoryGain scales the accumulated congestion history cost.
 	HistoryGain float64
 }
@@ -78,7 +75,6 @@ func DefaultOptions() Options {
 		PinSaturation:   97,
 		PinCrowdingExp:  6,
 		PinAccessFactor: 1.0,
-		StaticDerate:    0,
 		HistoryGain:     1.0,
 	}
 }
@@ -280,7 +276,7 @@ func (r *Router) pollCancel() error {
 // must be the side's signal routing layers (from tech.SideRoutingLayers).
 func NewRouter(core geom.Rect, side tech.Side, layers []tech.Layer, opt Options) (*Router, error) {
 	if opt.GCellNm <= 0 {
-		opt = DefaultOptions()
+		return nil, fmt.Errorf("route: gcell edge %d nm must be positive", opt.GCellNm)
 	}
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("route: no routing layers on side %v", side)
@@ -295,13 +291,9 @@ func NewRouter(core geom.Rect, side tech.Side, layers []tech.Layer, opt Options)
 	}
 	g := &grid{w: w, h: h, gc: opt.GCellNm, nH: (w - 1) * h}
 	var capHPer, capVPer float64
-	derate := 1 - opt.StaticDerate
-	if derate <= 0 {
-		derate = 1
-	}
 	for _, l := range layers {
 		tracks := float64(tech.TracksPerGCell(l, opt.GCellNm)) *
-			opt.CapacityFactor * derate * layerUsable(l.Index)
+			opt.CapacityFactor * layerUsable(l.Index)
 		if l.Dir == tech.Horizontal {
 			capHPer += tracks
 			g.hLayers = append(g.hLayers, l)

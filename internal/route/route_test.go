@@ -233,6 +233,17 @@ func TestDriverCountValidation(t *testing.T) {
 	}
 }
 
+// TestNewRouterRejectsGCell: options without a positive gcell edge are
+// refused, not replaced by the defaults.
+func TestNewRouterRejectsGCell(t *testing.T) {
+	core := geom.R(0, 0, 8000, 8000)
+	for _, opt := range []Options{{CapacityFactor: 2}, {GCellNm: -1000}} {
+		if _, err := NewRouter(core, tech.Front, ffetFrontLayers(12), opt); err == nil {
+			t.Errorf("NewRouter(%+v) accepted a gcell edge of %d nm", opt, opt.GCellNm)
+		}
+	}
+}
+
 func TestDeterministicRouting(t *testing.T) {
 	run := func() int64 {
 		core := geom.R(0, 0, 20000, 20000)

@@ -46,8 +46,7 @@ type FlowSpec struct {
 // The config name is rendered from the config fields alone, so identical
 // specs — from any client — produce identical configs, results and
 // response bytes. Config only parses the wire form (the arch name and the
-// required front); the daemon checks the resulting config with core's
-// FlowConfig.Validate before admitting any work.
+// required front); Spec also checks the resulting config.
 func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 	var arch tech.Arch
 	switch strings.ToUpper(sp.Arch) {
@@ -76,6 +75,21 @@ func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 		arch, cfg.Pattern.Front, cfg.Pattern.Back, cfg.TargetFreqGHz,
 		cfg.Utilization, cfg.AspectRatio, cfg.BackPinFraction, cfg.Seed)
 	return arch, cfg, nil
+}
+
+// Spec resolves the spec to the run it describes and refuses every
+// config core would: Config, then core's FlowConfig.Validate against the
+// stack of the spec's architecture in suite's library. The daemon runs
+// it before admitting any work.
+func (sp FlowSpec) Spec(suite *exp.Suite) (exp.Spec, error) {
+	arch, cfg, err := sp.Config()
+	if err != nil {
+		return exp.Spec{}, err
+	}
+	if err := cfg.Validate(suite.Netlist(arch).Lib.Stack); err != nil {
+		return exp.Spec{}, err
+	}
+	return exp.Spec{Arch: arch, Cfg: cfg}, nil
 }
 
 // SweepRequest sweeps one axis of a base spec. The points are planned and
@@ -112,6 +126,31 @@ func (r SweepRequest) Points() ([]FlowSpec, error) {
 		out[i] = sp
 	}
 	return out, nil
+}
+
+// Specs maps the sweep onto the runs it asks for and refuses every sweep
+// the daemon answers 400 before admitting any work: no values or an
+// unknown axis (Points); more values than a daemon under opt admits at
+// once, MaxQueue + MaxWorkers after defaults (every point is one unit of
+// admitted work, all spawned together, so a wider sweep would refuse its
+// own points); or a point Spec refuses. ffetd -oneshot runs it too, so
+// the offline reference refuses what the daemon refuses.
+func (r SweepRequest) Specs(suite *exp.Suite, opt Options) ([]exp.Spec, error) {
+	points, err := r.Points()
+	if err != nil {
+		return nil, err
+	}
+	opt = opt.withDefaults()
+	if bound := opt.MaxQueue + opt.MaxWorkers; len(points) > bound {
+		return nil, fmt.Errorf("serve: sweep has %d values, more than the %d units the daemon admits at once", len(points), bound)
+	}
+	specs := make([]exp.Spec, len(points))
+	for i, sp := range points {
+		if specs[i], err = sp.Spec(suite); err != nil {
+			return nil, fmt.Errorf("serve: sweep point %d: %w", i, err)
+		}
+	}
+	return specs, nil
 }
 
 // MCRequest runs a Monte Carlo overlay-variation study on the flow the
@@ -232,16 +271,18 @@ type ErrorBody struct {
 
 // newErrorBody classifies err and, when a partially-run session is
 // available, attaches its completed stage timings. An admission refusal
-// is kind busy or draining; every other error takes exp.ErrClass's
-// spelling of its class.
+// is kind busy or draining with the refusal's own message, since no stage
+// ran; every other error takes exp.ErrClass's spelling of its class.
 func newErrorBody(name string, err error, partial *core.Flow) *ErrorBody {
-	cerr := core.Classify(name, err)
-	body := &ErrorBody{Kind: exp.ErrClass(cerr), Message: cerr.Error()}
+	var body *ErrorBody
 	switch {
 	case errors.Is(err, errBusy):
-		body.Kind = "busy"
+		body = &ErrorBody{Kind: "busy", Message: errBusy.Error()}
 	case errors.Is(err, errDraining):
-		body.Kind = "draining"
+		body = &ErrorBody{Kind: "draining", Message: errDraining.Error()}
+	default:
+		cerr := core.Classify(name, err)
+		body = &ErrorBody{Kind: exp.ErrClass(cerr), Message: cerr.Error()}
 	}
 	if partial != nil {
 		times := partial.Result().StageTimes

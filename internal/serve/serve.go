@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
@@ -410,20 +409,6 @@ func badRequest(w http.ResponseWriter, msg string) {
 	writeError(w, http.StatusBadRequest, &ErrorBody{Kind: exp.ErrClass(core.ErrInvalidConfig), Message: msg})
 }
 
-// spec maps a wire spec onto the run it describes and rejects, before any
-// work is admitted, every config core would: FlowConfig.Validate against
-// the stack of the spec's architecture in the suite's library.
-func (s *Server) spec(sp FlowSpec) (exp.Spec, error) {
-	arch, cfg, err := sp.Config()
-	if err != nil {
-		return exp.Spec{}, err
-	}
-	if err := cfg.Validate(s.suite.Netlist(arch).Lib.Stack); err != nil {
-		return exp.Spec{}, err
-	}
-	return exp.Spec{Arch: arch, Cfg: cfg}, nil
-}
-
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	var spec FlowSpec
 	if !decodeJSON(w, r, &spec) {
@@ -446,7 +431,7 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 // answer returns — the response body, or an error with the session as
 // far as it got.
 func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, spec FlowSpec, answer func(context.Context, *streamer, exp.Spec) ([]byte, *core.Flow, error)) {
-	sp, err := s.spec(spec)
+	sp, err := spec.Spec(s.suite)
 	if err != nil {
 		badRequest(w, err.Error())
 		return
@@ -476,23 +461,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	points, err := req.Points()
+	specs, err := req.Specs(s.suite, s.opt)
 	if err != nil {
 		badRequest(w, err.Error())
 		return
-	}
-	// Every point is one unit of admitted work, all spawned at once, so
-	// a sweep wider than the admission bound would refuse its own points.
-	if bound := s.opt.MaxQueue + s.opt.MaxWorkers; len(points) > bound {
-		badRequest(w, fmt.Sprintf("sweep has %d values, more than the %d units the daemon admits at once", len(points), bound))
-		return
-	}
-	specs := make([]exp.Spec, len(points))
-	for i, sp := range points {
-		if specs[i], err = s.spec(sp); err != nil {
-			badRequest(w, fmt.Sprintf("point %d: %v", i, err))
-			return
-		}
 	}
 	st := newStreamer(w, r)
 	// The executor contains per-point panics; this catches the outer

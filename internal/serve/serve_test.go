@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -585,7 +586,8 @@ func TestEvictionUnderPressure(t *testing.T) {
 }
 
 // TestAdmissionAndDrain: requests past the queue bound are rejected with
-// 429, a draining server answers 503, and freed slots admit again.
+// 429, a draining server answers 503, and freed slots admit again. Every
+// refusal says what happened, never that a stage failed.
 func TestAdmissionAndDrain(t *testing.T) {
 	s := newTestServer(t, Options{Scale: exp.Quick, MaxWorkers: 1, MaxQueue: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -628,7 +630,7 @@ func TestAdmissionAndDrain(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("over-queue request: status %d: %s", status, got)
 	}
-	requireErrorKind(t, "429 body", got, "busy")
+	requireRefusal(t, "429 body", got, "busy")
 	// A sweep point refused because other requests fill the queue says
 	// so too, inside the sweep's 200 response.
 	status, got = post(t, ts, "/v1/sweep", SweepRequest{Base: baseSpec, Axis: "back_pins", Values: []float64{0.5}})
@@ -638,7 +640,7 @@ func TestAdmissionAndDrain(t *testing.T) {
 	if err := json.Unmarshal(got, &sw); status != http.StatusOK || err != nil || len(sw.Results) != 1 {
 		t.Fatalf("over-queue sweep: status %d: %s (%v)", status, got, err)
 	}
-	requireErrorKind(t, "refused sweep point", sw.Results[0], "busy")
+	requireRefusal(t, "refused sweep point", sw.Results[0], "busy")
 
 	// Abandon the queued clients and free the worker slot.
 	cancel()
@@ -654,7 +656,7 @@ func TestAdmissionAndDrain(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("draining request: status %d: %s", status, got)
 	}
-	requireErrorKind(t, "503 body", got, "draining")
+	requireRefusal(t, "503 body", got, "draining")
 	s.draining.Store(false)
 
 	want := wrapResult(t, offlineBody(t, s, baseSpec))
@@ -665,14 +667,24 @@ func TestAdmissionAndDrain(t *testing.T) {
 }
 
 // requireErrorKind asserts that body is an {"error": ErrorBody} of the
-// given kind.
-func requireErrorKind(t *testing.T, tag string, body []byte, kind string) {
+// given kind and returns its message.
+func requireErrorKind(t *testing.T, tag string, body []byte, kind string) string {
 	t.Helper()
 	var eb struct {
 		Error ErrorBody `json:"error"`
 	}
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Kind != kind {
 		t.Errorf("%s: want an error of kind %q, got %s (%v)", tag, kind, body, err)
+	}
+	return eb.Error.Message
+}
+
+// requireRefusal asserts that body is an admission refusal of the given
+// kind whose message does not claim that a stage failed: none ran.
+func requireRefusal(t *testing.T, tag string, body []byte, kind string) {
+	t.Helper()
+	if msg := requireErrorKind(t, tag, body, kind); strings.Contains(msg, "stage failed") {
+		t.Errorf("%s: refusal message %q claims a stage failed", tag, msg)
 	}
 }
 
@@ -760,6 +772,55 @@ func TestSweepAdmissionBound(t *testing.T) {
 		if bytes.Contains(r, []byte(`"error"`)) {
 			t.Errorf("point %d refused: %s", i, r)
 		}
+	}
+}
+
+// TestSweepSpecs: the sweep checks the daemon and ffetd -oneshot share
+// refuse what the daemon answers 400 before admission — a sweep wider
+// than MaxQueue + MaxWorkers after defaults, an unknown axis, a point
+// core refuses — and map a valid sweep onto one validated spec per value.
+func TestSweepSpecs(t *testing.T) {
+	suite, err := exp.NewSuite(exp.Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := Options{MaxWorkers: 1, MaxQueue: 2}
+	sweep := SweepRequest{Base: baseSpec, Axis: "back_pins", Values: []float64{0.2, 0.4, 0.6}}
+
+	specs, err := sweep.Specs(suite, small)
+	if err != nil || len(specs) != 3 {
+		t.Fatalf("3-value sweep at bound 3: %d specs, %v", len(specs), err)
+	}
+	for i, sp := range specs {
+		pt := baseSpec
+		pt.BackPins = sweep.Values[i]
+		if arch, cfg, _ := pt.Config(); sp != (exp.Spec{Arch: arch, Cfg: cfg}) {
+			t.Errorf("point %d: spec %+v, want %v %+v", i, sp, arch, cfg)
+		}
+	}
+
+	wide := sweep
+	wide.Values = []float64{0.2, 0.4, 0.6, 0.8}
+	if _, err := wide.Specs(suite, small); err == nil || !strings.Contains(err.Error(), "more than the 3 units") {
+		t.Errorf("4-value sweep at bound 3: err %v", err)
+	}
+	// Zero options take the daemon defaults: MaxQueue 64 plus
+	// min(GOMAXPROCS, 12) workers.
+	bound := 64 + min(runtime.GOMAXPROCS(0), 12)
+	wide.Values = make([]float64, bound+1)
+	if _, err := wide.Specs(suite, Options{}); err == nil {
+		t.Errorf("%d-value sweep at the default bound %d accepted", bound+1, bound)
+	}
+
+	bad := sweep
+	bad.Axis = "nm"
+	if _, err := bad.Specs(suite, small); err == nil {
+		t.Error("unknown axis accepted")
+	}
+	bad = sweep
+	bad.Base.Back = 0 // back pins without back layers
+	if _, err := bad.Specs(suite, small); !errors.Is(err, core.ErrInvalidConfig) {
+		t.Errorf("sweep of points without back layers: err %v, want ErrInvalidConfig", err)
 	}
 }
 

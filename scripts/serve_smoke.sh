@@ -10,7 +10,8 @@
 #      once between them (misses == 2 on /debug/stats);
 #   3. validation: a CFET flow with backside signal layers is refused with
 #      400 invalid-config before admission (requests.accepted and
-#      checkpoint.misses unchanged);
+#      checkpoint.misses unchanged), and -oneshot refuses, before running
+#      any flow, a sweep wider than its -workers + -queue admit at once;
 #   4. graceful shutdown: SIGTERM drains and the process exits 0.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 18077)
@@ -36,6 +37,21 @@ EOF
 
 echo "== offline reference (-oneshot) =="
 "${WORK}/ffetd" -oneshot "${WORK}/req.json" -scale quick > "${WORK}/offline.json"
+
+echo "== -oneshot refuses a sweep wider than -workers + -queue =="
+cat > "${WORK}/wide.json" <<'EOF'
+{"sweep":{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.72},"axis":"back_pins","values":[0.2,0.4,0.6,0.8]}}
+EOF
+if "${WORK}/ffetd" -oneshot "${WORK}/wide.json" -scale quick -workers 1 -queue 2 \
+    > "${WORK}/wide.out" 2> "${WORK}/wide.err"; then
+  echo "-oneshot ran a 4-value sweep at -workers 1 -queue 2: $(cat "${WORK}/wide.out")" >&2
+  exit 1
+fi
+if [[ -s "${WORK}/wide.out" ]] || ! grep -q "more than the 3 units" "${WORK}/wide.err"; then
+  echo "-oneshot 4-value sweep: want the width refusal and no output, got: $(cat "${WORK}/wide.out" "${WORK}/wide.err")" >&2
+  exit 1
+fi
+echo "4-value sweep refused: $(cat "${WORK}/wide.err")"
 
 echo "== start daemon on ${ADDR} =="
 "${WORK}/ffetd" -addr "${ADDR}" -scale quick -drain 20s &
