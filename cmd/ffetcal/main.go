@@ -1,5 +1,7 @@
 // Command ffetcal sweeps utilization for the key configurations and prints
 // DRV counts — the router-calibration companion to the experiment suite.
+// Its router flags default to route.DefaultOptions, so a run without
+// flags calibrates around the router the experiment tables use.
 package main
 
 import (
@@ -18,10 +20,11 @@ import (
 )
 
 func main() {
-	cf := flag.Float64("cf", 1.77, "capacity factor")
-	pb := flag.Float64("pb", 85, "pin saturation per um2")
-	pexp := flag.Float64("pexp", 6, "pin crowding exponent")
-	sdc := flag.Float64("sdc", 1.3, "CFET pin access factor")
+	defaults := route.DefaultOptions()
+	cf := flag.Float64("cf", defaults.CapacityFactor, "capacity factor")
+	pb := flag.Float64("pb", defaults.PinSaturation, "pin saturation per um2")
+	pexp := flag.Float64("pexp", defaults.PinCrowdingExp, "pin crowding exponent")
+	sdc := flag.Float64("sdc", defaults.PinAccessFactor, "CFET pin access factor (1 or less: the flow's CFET rule, 1.5)")
 	regs := flag.Int("regs", 32, "register count")
 	flag.Parse()
 
@@ -32,8 +35,14 @@ func main() {
 
 	ffet := cell.NewLibrary(tech.NewFFET())
 	cfet := cell.NewLibrary(tech.NewCFET())
-	nlF, _, _ := riscv.Generate(ffet, riscv.Config{Name: "rv32", Registers: *regs})
-	nlC, _ := nlF.Remap(cfet)
+	nlF, _, err := riscv.Generate(ffet, riscv.Config{Name: "rv32", Registers: *regs})
+	if err != nil {
+		cliutil.Fail("ffetcal", err)
+	}
+	nlC, err := nlF.Remap(cfet)
+	if err != nil {
+		cliutil.Fail("ffetcal", err)
+	}
 
 	type cfgSpec struct {
 		label string
@@ -70,7 +79,7 @@ func main() {
 				defer func() { <-sem }()
 				cfg := core.DefaultFlowConfig(sp.pat, 1.5, u)
 				cfg.BackPinFraction = sp.bp
-				ropt := route.DefaultOptions()
+				ropt := defaults
 				ropt.CapacityFactor = *cf
 				ropt.PinSaturation = *pb
 				ropt.PinCrowdingExp = *pexp

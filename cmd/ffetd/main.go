@@ -1,10 +1,11 @@
 // Command ffetd serves the staged implementation flow over HTTP: single
 // flows, sweeps and Monte Carlo variation studies, planned and executed
-// like the batch tables but with a cross-request checkpoint store,
-// request coalescing, NDJSON progress streaming and an exact-config
-// result memo. SIGINT/SIGTERM drain in-flight work before
-// exit; a second signal cancels it immediately (cancelled requests still
-// report their partial stage timings in the error payload).
+// like the batch tables, through the same exact-config result memo the
+// /v1/exp tables fill, but with a cross-request checkpoint store,
+// request coalescing and NDJSON progress streaming. SIGINT/SIGTERM drain
+// in-flight work before exit; a second signal cancels it immediately
+// (cancelled requests still report their partial stage timings in the
+// error payload).
 //
 // -oneshot FILE bypasses the daemon entirely: the request JSON in FILE
 // runs through the offline from-scratch path and the response body is
@@ -38,7 +39,6 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 256, "checkpoint store budget (MiB)")
 	workers := flag.Int("workers", 0, "max concurrent flow executions (0 = min(GOMAXPROCS, 12))")
 	queue := flag.Int("queue", 0, "admission queue bound beyond in-flight workers (0 = 64)")
-	memoEntries := flag.Int("memo-entries", 0, "exact-config result memo LRU bound (0 = 4096)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain timeout on SIGTERM")
 	oneshot := flag.String("oneshot", "", "run the request JSON in FILE offline and print the response body")
 	flag.Parse()
@@ -48,11 +48,10 @@ func main() {
 		scale = exp.Full
 	}
 	opt := serve.Options{
-		Scale:       scale,
-		CacheBytes:  *cacheMB << 20,
-		MaxWorkers:  *workers,
-		MaxQueue:    *queue,
-		MemoEntries: *memoEntries,
+		Scale:      scale,
+		CacheBytes: *cacheMB << 20,
+		MaxWorkers: *workers,
+		MaxQueue:   *queue,
 	}
 	if *oneshot != "" {
 		if err := runOneshot(*oneshot, opt); err != nil {

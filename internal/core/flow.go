@@ -26,8 +26,10 @@ import (
 // options. Every other tool setting of the Fig. 7 flow is fixed: each
 // stage runs its package's DefaultOptions.
 //
-// Before is the one table of which stage reads which field; Flow.Fork
-// resumes a fork at the first stage a config delta reaches.
+// No field has a zero value that stands for a default: start from
+// DefaultFlowConfig, since Validate refuses a zero where a positive value
+// is needed. Before is the one table of which stage reads which field;
+// Flow.Fork resumes a fork at the first stage a config delta reaches.
 type FlowConfig struct {
 	Name          string
 	Pattern       tech.Pattern // routing layers per side (e.g. FM12BM12)
@@ -92,11 +94,12 @@ func (c FlowConfig) Before(s Stage) FlowConfig {
 }
 
 // Validate rejects a config no run on stack st can take: an out-of-range
-// numeric knob (the target frequency must be positive and finite, the
-// utilization in (0, 1], the aspect ratio finite and non-negative — 0
-// picks the default 1.0 — the back-pin fraction in [0, 1], and the
-// router's gcell edge positive; NaN fails every check), a metal pattern
-// st.Validate refuses, or backside pins without backside routing layers.
+// knob (the target frequency and the aspect ratio must be positive and
+// finite, the utilization in (0, 1], the back-pin fraction in [0, 1], the
+// DRV budget MaxDRVs and the router's gcell edge positive; NaN fails
+// every check), a metal pattern st.Validate refuses, or backside pins
+// without backside routing layers. No field has a zero that means "the
+// default", so a zero is refused like any other out-of-range value.
 // Every entry point — NewFlow, Fork, RunFlow and the daemon's request
 // decoding — runs it, so all of them reject a bad config the same way,
 // classified as ErrInvalidConfig.
@@ -107,10 +110,12 @@ func (c FlowConfig) Validate(st *tech.Stack) error {
 		err = fmt.Errorf("target frequency %v GHz must be positive and finite", c.TargetFreqGHz)
 	case !(c.Utilization > 0 && c.Utilization <= 1):
 		err = fmt.Errorf("utilization %v must be in (0, 1]", c.Utilization)
-	case !(c.AspectRatio >= 0) || math.IsInf(c.AspectRatio, 1):
-		err = fmt.Errorf("aspect ratio %v must be finite and non-negative", c.AspectRatio)
+	case !(c.AspectRatio > 0) || math.IsInf(c.AspectRatio, 1):
+		err = fmt.Errorf("aspect ratio %v must be positive and finite", c.AspectRatio)
 	case !(c.BackPinFraction >= 0 && c.BackPinFraction <= 1):
 		err = fmt.Errorf("back-pin fraction %v must be in [0, 1]", c.BackPinFraction)
+	case c.MaxDRVs <= 0:
+		err = fmt.Errorf("DRV budget %d must be positive", c.MaxDRVs)
 	case c.Route.GCellNm <= 0:
 		err = fmt.Errorf("route gcell edge %d nm must be positive", c.Route.GCellNm)
 	default:
@@ -122,19 +127,6 @@ func (c FlowConfig) Validate(st *tech.Stack) error {
 		return nil
 	}
 	return &FlowError{Kind: ErrInvalidConfig, Stage: stageNone, Config: c.Name, Err: err}
-}
-
-// validateFlowConfig runs Validate and normalizes defaulted knobs. Shared
-// by NewFlow and Flow.Fork so a mutated fork config passes exactly the
-// checks a fresh session would.
-func validateFlowConfig(st *tech.Stack, cfg *FlowConfig) error {
-	if err := cfg.Validate(st); err != nil {
-		return err
-	}
-	if cfg.MaxDRVs <= 0 {
-		cfg.MaxDRVs = 10
-	}
-	return nil
 }
 
 // FlowResult is the complete outcome of one run.

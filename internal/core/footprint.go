@@ -25,16 +25,13 @@ import (
 func (f *Flow) FootprintBytes() int64 {
 	b := int64(unsafe.Sizeof(*f))
 
-	// Netlists: work, and each snapshot only when it is a distinct object
-	// (a fork resuming late shares work with its parent's snapshot; the
-	// early stages alias work and synthSnap until placement mutates).
+	// Netlists: work, synthSnap and placeSnap, each charged in full. Each
+	// snapshot is a deep copy taken at its stage boundary, so the three
+	// are always distinct objects (a fork resuming after CTS shares its
+	// parent's work, and every fork its parent's snapshots, as above).
 	b += f.work.FootprintBytes()
-	if f.synthSnap != nil && f.synthSnap != f.work {
-		b += f.synthSnap.FootprintBytes()
-	}
-	if f.placeSnap != nil && f.placeSnap != f.work && f.placeSnap != f.synthSnap {
-		b += f.placeSnap.FootprintBytes()
-	}
+	b += f.synthSnap.FootprintBytes()
+	b += f.placeSnap.FootprintBytes()
 
 	if f.fp != nil {
 		b += int64(unsafe.Sizeof(*f.fp))

@@ -48,6 +48,11 @@ func TestErrInvalidConfigTaxonomy(t *testing.T) {
 		{"aspect_pos_inf", func(c *FlowConfig) { c.AspectRatio = inf }},
 		{"aspect_neg_inf", func(c *FlowConfig) { c.AspectRatio = -inf }},
 		{"aspect_negative", func(c *FlowConfig) { c.AspectRatio = -1 }},
+		// Zero is no default: an aspect or DRV budget left unset is refused
+		// rather than run as 1.0 or 10.
+		{"aspect_zero", func(c *FlowConfig) { c.AspectRatio = 0 }},
+		{"maxdrvs_zero", func(c *FlowConfig) { c.MaxDRVs = 0 }},
+		{"maxdrvs_negative", func(c *FlowConfig) { c.MaxDRVs = -1 }},
 		{"backpins_nan", func(c *FlowConfig) { c.BackPinFraction = nan }},
 		{"backpins_pos_inf", func(c *FlowConfig) { c.BackPinFraction = inf }},
 		{"backpins_neg_inf", func(c *FlowConfig) { c.BackPinFraction = -inf }},

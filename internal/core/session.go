@@ -187,7 +187,7 @@ func NewFlow(nl *netlist.Netlist, cfg FlowConfig) (*Flow, error) {
 func newFlow(nl *netlist.Netlist, cfg FlowConfig, keepSnaps bool) (*Flow, error) {
 	lib := nl.Lib
 	st := lib.Stack
-	if err := validateFlowConfig(st, &cfg); err != nil {
+	if err := cfg.Validate(st); err != nil {
 		return nil, err
 	}
 	return &Flow{
@@ -200,7 +200,7 @@ func newFlow(nl *netlist.Netlist, cfg FlowConfig, keepSnaps bool) (*Flow, error)
 	}, nil
 }
 
-// Config returns the session's (normalized) configuration.
+// Config returns the session's configuration.
 func (f *Flow) Config() FlowConfig { return f.cfg }
 
 // NextStage returns the first stage that has not yet executed;
@@ -492,7 +492,7 @@ func (f *Flow) Fork(mutate func(*FlowConfig)) (*Flow, error) {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	if err := validateFlowConfig(f.st, &cfg); err != nil {
+	if err := cfg.Validate(f.st); err != nil {
 		f.mu.Unlock()
 		return nil, err
 	}

@@ -8,15 +8,18 @@
 // each point forks, chain groups along the synthesis target) and the
 // executor Suite.Execute (leaders diff-fork their chain predecessor or
 // fork the group's prefix, siblings fork the prefix alongside their
-// leader, roots and prefixes are built once per call). Which checkpoint
-// a point shares is core's to say: roots and prefixes are keyed by, and
-// opened under, core.FlowConfig.Before at the stage they resume at. The
-// batch tables run it with no checkpoint store and retain nothing staged
-// across calls; the serve daemon runs it over a Store, the byte-bounded
-// cross-call checkpoint LRU.
+// leader, roots and prefixes are built once per call), joined by
+// Suite.Sweep, the one memoized entry, around the suite's one result
+// memo. Which checkpoint a point shares is core's to say: roots and
+// prefixes are keyed by, and opened under, core.FlowConfig.Before at the
+// stage they resume at. The batch tables sweep with no checkpoint store
+// and retain nothing staged across calls; the serve daemon sweeps over a
+// Store, the byte-bounded cross-call checkpoint LRU, and shares the
+// tables' memo.
 package exp
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -27,6 +30,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/netlist"
 	"repro/internal/riscv"
 	"repro/internal/tech"
@@ -118,9 +122,11 @@ func (t *Table) CSV() string {
 }
 
 // Suite owns the libraries and benchmark netlists shared by experiments,
-// and the result memo their tables read. It retains no staged session
-// across calls: each sweep shares synthesis roots and prefixes only
-// within itself (see Execute).
+// and the one result memo: the tables, Suite.Run and the serve daemon's
+// flows and sweeps all answer through Sweep, which reads and fills it. It
+// retains no staged session across calls: each sweep shares synthesis
+// roots and prefixes only within itself, unless its caller backs it with
+// a Store (see Execute).
 type Suite struct {
 	Scale Scale
 	FFET  *cell.Library
@@ -142,20 +148,22 @@ type Suite struct {
 	// sweep starts runs under it, so a cancel drains the pool within one
 	// stage per in-flight point and the cancelled points report
 	// core.ErrCancelled in their error cells.
-	Ctx     context.Context
-	ffetNl  *netlist.Netlist
-	cfetNl  *netlist.Netlist
-	mu      sync.Mutex
-	results map[RunKey]*core.FlowResult
-	stats   CacheStats // guarded by mu; MemoEntries unset
+	Ctx    context.Context
+	ffetNl *netlist.Netlist
+	cfetNl *netlist.Netlist
+	mu     sync.Mutex
+	memo   memo       // guarded by mu
+	stats  CacheStats // guarded by mu; MemoEntries unset
 }
 
-// CacheStats is a point-in-time snapshot of the suite's result memo and
-// the summed executor reports of its sweeps.
+// CacheStats is a point-in-time snapshot of the suite's result memo
+// (lookups by every Sweep caller, evictions, resident entries) and the
+// summed reports of every executor call on the suite.
 type CacheStats struct {
-	MemoHits    int64 `json:"memo_hits"`
-	MemoMisses  int64 `json:"memo_misses"`
-	MemoEntries int   `json:"memo_entries"`
+	MemoHits      int64 `json:"memo_hits"`
+	MemoMisses    int64 `json:"memo_misses"`
+	MemoEvictions int64 `json:"memo_evictions"`
+	MemoEntries   int   `json:"memo_entries"`
 	Report
 }
 
@@ -164,17 +172,17 @@ func (s *Suite) Stats() CacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.MemoEntries = len(s.results)
+	st.MemoEntries = len(s.memo.entries)
 	return st
 }
 
 // NewSuite builds libraries and the RISC-V benchmark core for both archs.
 func NewSuite(scale Scale) (*Suite, error) {
 	s := &Suite{
-		Scale:   scale,
-		FFET:    cell.NewLibrary(tech.NewFFET()),
-		CFET:    cell.NewLibrary(tech.NewCFET()),
-		results: make(map[RunKey]*core.FlowResult),
+		Scale: scale,
+		FFET:  cell.NewLibrary(tech.NewFFET()),
+		CFET:  cell.NewLibrary(tech.NewCFET()),
+		memo:  newMemo(maxMemoEntries),
 	}
 	regs := 32
 	if scale == Quick {
@@ -213,19 +221,130 @@ func (s *Suite) ctx() context.Context {
 // the entire FlowConfig (which is comparable) at full float precision,
 // minus only the cosmetic Name, which no stage reads. Embedding the
 // whole config means every result-affecting field — MaxDRVs and the
-// router options included — keeps distinct memo entries.
+// router options included — keeps distinct memo entries, and no field
+// has a zero that stands for a default. Only the CFET pin-access lift of
+// core's route stage still runs distinct configs alike.
 type RunKey struct {
 	arch tech.Arch
 	cfg  core.FlowConfig
 }
 
 // MemoKey builds the memo key of (arch, cfg): the exact-config identity
-// under which a completed run may be replayed from cache. The serve
-// daemon's result memo uses the same key, so daemon and batch memoization
-// can never disagree about which configs are "the same run".
+// under which a completed run may be replayed from the suite's memo, and
+// under which PlanSweep dedupes a sweep's points.
 func MemoKey(arch tech.Arch, cfg core.FlowConfig) RunKey {
 	cfg.Name = ""
 	return RunKey{arch: arch, cfg: cfg}
+}
+
+// maxMemoEntries bounds the suite's result memo: past it the least
+// recently used result is evicted. A result holds metrics and no session
+// state, so a count bound suffices where the checkpoint store needs
+// measured bytes.
+const maxMemoEntries = 4096
+
+// memo is an entry-count LRU of completed runs keyed by MemoKey. Error
+// placeholders are never put, so a retry after a fault clears gets a
+// clean run.
+type memo struct {
+	max     int
+	entries map[RunKey]*list.Element // values are memoEntry
+	lru     list.List                // Front = most recent
+}
+
+type memoEntry struct {
+	key RunKey
+	res *core.FlowResult
+}
+
+func newMemo(max int) memo {
+	return memo{max: max, entries: make(map[RunKey]*list.Element)}
+}
+
+// get returns key's result, nil on a miss, and refreshes its recency.
+func (m *memo) get(key RunKey) *core.FlowResult {
+	el, ok := m.entries[key]
+	if !ok {
+		return nil
+	}
+	m.lru.MoveToFront(el)
+	return el.Value.(memoEntry).res
+}
+
+// put stores res under key, unless key already has a result, and returns
+// the number of entries it evicted.
+func (m *memo) put(key RunKey, res *core.FlowResult) (evicted int64) {
+	if _, ok := m.entries[key]; ok {
+		return 0
+	}
+	m.entries[key] = m.lru.PushFront(memoEntry{key: key, res: res})
+	for len(m.entries) > m.max {
+		back := m.lru.Back()
+		delete(m.entries, back.Value.(memoEntry).key)
+		m.lru.Remove(back)
+		evicted++
+	}
+	return evicted
+}
+
+// recall looks sp up in the memo and counts the hit or miss. The lookup
+// is a fault site: an injected error or panic there becomes sp's
+// classified error, and the lookup counts as neither.
+func (s *Suite) recall(sp Spec) (res *core.FlowResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = core.NewPanicError(sp.Cfg.Name, r)
+		}
+	}()
+	if err := faultinject.Fire("exp.memo"); err != nil {
+		return nil, core.Classify(sp.Cfg.Name, err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if res = s.memo.get(MemoKey(sp.Arch, sp.Cfg)); res == nil {
+		s.stats.MemoMisses++
+	} else {
+		s.stats.MemoHits++
+	}
+	return res, nil
+}
+
+// Sweep is the suite's one memoized sweep entry, shared by the batch
+// tables (runAll) and the serve daemon's flows and sweeps: it answers
+// each spec from the result memo, plans the misses (PlanSweep), runs the
+// plan as one executor call over x, and memoizes every completed run.
+//
+// x's Emit and Done take spec indices, not plan point indices. A memo
+// hit emits a "memo" checkpoint event, then reaches Done with no session;
+// a spec whose lookup faulted reaches Done with its classified error. A
+// computed point's progress is tagged with the first spec it answers,
+// and its outcome reaches Done once for every spec it answers.
+func (s *Suite) Sweep(specs []Spec, x Exec) {
+	plan := PlanSweep(specs, func(i int) bool {
+		res, err := s.recall(specs[i])
+		if res == nil && err == nil {
+			return false
+		}
+		if err == nil {
+			x.Emit(i, Event{Checkpoint: "memo", Hit: true})
+		}
+		x.Done(i, res, nil, err)
+		return true
+	})
+	s.Execute(plan, Exec{Ctx: x.Ctx, Store: x.Store, Admit: x.Admit,
+		Emit: func(p int, ev Event) { x.Emit(plan.Points[p].Idxs[0], ev) },
+		Done: func(p int, res *core.FlowResult, f *core.Flow, err error) {
+			pt := plan.Points[p]
+			if err == nil {
+				s.mu.Lock()
+				s.stats.MemoEvictions += s.memo.put(MemoKey(pt.Spec.Arch, pt.Spec.Cfg), res)
+				s.mu.Unlock()
+			}
+			for _, i := range pt.Idxs {
+				x.Done(i, res, f, err)
+			}
+		},
+	})
 }
 
 // Run executes (or recalls) one flow run: a one-point sweep.
@@ -237,12 +356,11 @@ func (s *Suite) Run(arch tech.Arch, cfg core.FlowConfig) (*core.FlowResult, erro
 	return rs[0], nil
 }
 
-// runAll runs specs as one batch executor call over the suite's bounded
-// goroutine pool, preserving order: memo hits answer directly, the rest
-// are planned (PlanSweep) and executed (Execute) with no checkpoint
-// store, so nothing staged outlives the call. Forked runs are
-// bit-identical to from-scratch runs, so tables are byte-identical to
-// the DisablePrefixSharing path at any parallelism.
+// runAll runs specs through Sweep over the suite's bounded goroutine
+// pool, preserving order, with no checkpoint store, so nothing staged
+// outlives the call. Forked runs are bit-identical to from-scratch runs,
+// so tables are byte-identical to the DisablePrefixSharing path at any
+// parallelism.
 //
 // A dead point (hard error, contained panic, cancellation) lands in the
 // table as an error placeholder while its siblings and the memo stay
@@ -251,51 +369,29 @@ func (s *Suite) Run(arch tech.Arch, cfg core.FlowConfig) (*core.FlowResult, erro
 // way.
 func (s *Suite) runAll(specs []Spec) ([]*core.FlowResult, error) {
 	out := make([]*core.FlowResult, len(specs))
-	plan := PlanSweep(specs, func(i int) bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		out[i] = s.results[MemoKey(specs[i].Arch, specs[i].Cfg)]
-		if out[i] == nil {
-			s.stats.MemoMisses++
-			return false
-		}
-		s.stats.MemoHits++
-		return true
-	})
 	sem := make(chan struct{}, s.maxParallel())
-	rep := s.Execute(plan, Exec{
+	s.Sweep(specs, Exec{
 		Ctx: s.ctx(),
 		Admit: func() (func(), error) {
 			sem <- struct{}{}
 			return func() { <-sem }, nil
 		},
 		Emit: func(int, Event) {},
-		Done: func(p int, res *core.FlowResult, _ *core.Flow, err error) {
-			pt := plan.Points[p]
+		Done: func(i int, res *core.FlowResult, _ *core.Flow, err error) {
 			if err != nil {
 				// A dead point's table placeholder: an invalid result
-				// carrying the classified error. Never memoized, so a
-				// retry after the fault clears gets a clean run.
-				res = &core.FlowResult{Config: pt.Spec.Cfg, Arch: pt.Spec.Arch, Reason: "error: " + err.Error(), Err: err}
-			} else {
-				s.mu.Lock()
-				s.results[MemoKey(pt.Spec.Arch, pt.Spec.Cfg)] = res
-				s.mu.Unlock()
+				// carrying the classified error.
+				res = &core.FlowResult{Config: specs[i].Cfg, Arch: specs[i].Arch, Reason: "error: " + err.Error(), Err: err}
 			}
-			for _, i := range pt.Idxs {
-				out[i] = res
-			}
+			out[i] = res
 		},
 	})
-	s.mu.Lock()
-	s.stats.Report.Add(rep)
-	s.mu.Unlock()
 	// Points a node failure killed share one error value, so the root
 	// cause is reported once, not once per sibling.
 	var errs []error
 	seen := make(map[error]bool)
-	for _, pt := range plan.Points {
-		if err := out[pt.Idxs[0]].Err; err != nil && !seen[err] {
+	for _, r := range out {
+		if err := r.Err; err != nil && !seen[err] {
 			seen[err] = true
 			errs = append(errs, err)
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -105,10 +106,11 @@ func TestFig08bSingleRun(t *testing.T) {
 			stripes = r[1:]
 		}
 	}
-	if len(stripes) != 2 || len(s.results) != 2 {
-		t.Fatalf("stripe row %q over %d memoized runs, want 2 and 2", stripes, len(s.results))
+	if len(stripes) != 2 || len(s.memo.entries) != 2 {
+		t.Fatalf("stripe row %q over %d memoized runs, want 2 and 2", stripes, len(s.memo.entries))
 	}
-	for _, res := range s.results {
+	for _, el := range s.memo.entries {
+		res := el.Value.(memoEntry).res
 		f, err := core.NewFlow(s.Netlist(res.Arch), res.Config)
 		if err != nil {
 			t.Fatal(err)
@@ -153,6 +155,91 @@ func TestRunMemoization(t *testing.T) {
 	}
 	if r3 == r1 {
 		t.Error("different configs must not share a memo entry")
+	}
+}
+
+// TestMemoEviction: the result memo is an entry-count LRU. At a bound of
+// 2, a third distinct run evicts the least recently used entry, and a hit
+// refreshes recency, so the victim is the entry not recalled since; the
+// counters say so, and an evicted config recomputes through Run to the
+// same metrics and re-enters the memo.
+func TestMemoEviction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("flow runs in -short mode")
+	}
+	s := quickSuite(t)
+	s.memo = newMemo(2)
+	cfgs := make([]core.FlowConfig, 3)
+	for i, bp := range []float64{0.1, 0.5, 0.9} {
+		cfgs[i] = core.DefaultFlowConfig(tech.Pattern{Front: 4, Back: 4}, 1.4, 0.72)
+		cfgs[i].BackPinFraction = bp
+	}
+	run := func(i int) *core.FlowResult {
+		t.Helper()
+		r, err := s.Run(tech.FFET, cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	resident := func() []bool {
+		var in []bool
+		for _, c := range cfgs {
+			_, ok := s.memo.entries[MemoKey(tech.FFET, c)]
+			in = append(in, ok)
+		}
+		return in
+	}
+	counters := func(hits, misses, evictions int64) {
+		t.Helper()
+		st := s.Stats()
+		if st.MemoHits != hits || st.MemoMisses != misses || st.MemoEvictions != evictions || st.MemoEntries != 2 {
+			t.Fatalf("memo counters %+v, want %d hits, %d misses, %d evictions, 2 entries", st, hits, misses, evictions)
+		}
+	}
+
+	r0, r1 := run(0), run(1)
+	if run(0) != r0 { // a hit: 0 is now more recent than 1
+		t.Fatal("repeat of a resident config missed the memo")
+	}
+	run(2)
+	if got := resident(); !got[0] || got[1] || !got[2] {
+		t.Fatalf("resident %v after a third config, want 1 evicted", got)
+	}
+	counters(1, 3, 1)
+
+	// Recalling 0 leaves 2 the least recently used, so recomputing 1
+	// evicts 2.
+	if run(0) != r0 {
+		t.Fatal("recently used config missed the memo")
+	}
+	r1b := run(1)
+	if got := resident(); !got[0] || !got[1] || got[2] {
+		t.Fatalf("resident %v after recomputing 1, want 2 evicted", got)
+	}
+	counters(2, 4, 2)
+	if r1b == r1 || !sameOutcome(r1b, r1) {
+		t.Error("evicted config must recompute to a fresh result with the same metrics")
+	}
+}
+
+// TestZeroSentinelsRefused: an aspect ratio or DRV budget of 0 is no
+// default but a config Run refuses, so it never runs like the default
+// config under a memo entry of its own.
+func TestZeroSentinelsRefused(t *testing.T) {
+	s := quickSuite(t)
+	for name, zero := range map[string]func(*core.FlowConfig){
+		"AspectRatio": func(c *core.FlowConfig) { c.AspectRatio = 0 },
+		"MaxDRVs":     func(c *core.FlowConfig) { c.MaxDRVs = 0 },
+	} {
+		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.70)
+		zero(&cfg)
+		if _, err := s.Run(tech.FFET, cfg); !errors.Is(err, core.ErrInvalidConfig) {
+			t.Errorf("%s 0: err = %v, want ErrInvalidConfig", name, err)
+		}
+	}
+	if st := s.Stats(); st.MemoEntries != 0 {
+		t.Errorf("refused configs left %d memo entries", st.MemoEntries)
 	}
 }
 

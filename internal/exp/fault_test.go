@@ -74,7 +74,7 @@ func TestFaultScheduleSweep(t *testing.T) {
 			CFET:        tmpl.CFET,
 			ffetNl:      nlF,
 			cfetNl:      nlC,
-			results:     make(map[RunKey]*core.FlowResult),
+			memo:        newMemo(maxMemoEntries),
 			MaxParallel: 4,
 		}
 	}

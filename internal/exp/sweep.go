@@ -109,8 +109,8 @@ func PlanSweep(specs []Spec, cached func(i int) bool) *Plan {
 // target is the synthesis target of the group's points.
 func (g *Group) target() float64 { return g.prefix.cfg.TargetFreqGHz }
 
-// Report counts what one executor call did. Suite.Stats and the serve
-// daemon's sweep statistics are sums of these reports.
+// Report counts what one executor call did. Execute adds each call's
+// report to its suite's sum, which Suite.Stats reports.
 type Report struct {
 	// Group leaders that forked their chain predecessor through the
 	// synth-diff path and stayed on it, leaders whose diff attempt fell
@@ -150,7 +150,8 @@ type Event struct {
 }
 
 // Exec is what one executor call needs from its caller: everything that
-// differs between the batch suite and the daemon.
+// differs between the batch suite and the daemon. Execute indexes Emit
+// and Done by plan point; Sweep, by spec.
 type Exec struct {
 	// Ctx (required) bounds the call's point work and, without a Store,
 	// its checkpoint builds.
@@ -190,7 +191,12 @@ type Exec struct {
 //
 // With DisablePrefixSharing set, every point instead runs as an unshared
 // from-scratch core.RunFlow: the reference path.
-func (s *Suite) Execute(plan *Plan, x Exec) Report {
+//
+// The call's Report is added to the suite's sum (Suite.Stats). Execute
+// neither reads nor fills the result memo: Sweep does, around it, and
+// only a caller that needs the live sessions of completed points, such as
+// the daemon's Monte Carlo requests, calls Execute directly.
+func (s *Suite) Execute(plan *Plan, x Exec) {
 	e := &executor{s: s, x: x, plan: plan}
 	var wg sync.WaitGroup
 	spawn := func(f func()) {
@@ -221,7 +227,9 @@ func (s *Suite) Execute(plan *Plan, x Exec) Report {
 		}
 	}
 	wg.Wait()
-	return e.rep
+	s.mu.Lock()
+	s.stats.Report.Add(e.rep)
+	s.mu.Unlock()
 }
 
 // executor is one Execute call's state.

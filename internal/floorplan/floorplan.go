@@ -34,13 +34,14 @@ type Plan struct {
 }
 
 // New computes a floorplan for the given total standard-cell area.
-// Utilization must be in (0, 1]; aspect is core height / width (1 = square).
+// Utilization must be in (0, 1]; aspect is core height / width (1 = square)
+// and must be positive.
 func New(stack *tech.Stack, cellAreaNm2 int64, utilization, aspect float64) (*Plan, error) {
 	if utilization <= 0 || utilization > 1 {
 		return nil, fmt.Errorf("floorplan: utilization %.3f out of (0,1]", utilization)
 	}
-	if aspect <= 0 {
-		aspect = 1.0
+	if !(aspect > 0) {
+		return nil, fmt.Errorf("floorplan: aspect ratio %v must be positive", aspect)
 	}
 	if cellAreaNm2 <= 0 {
 		return nil, fmt.Errorf("floorplan: empty design")

@@ -1,6 +1,7 @@
 package floorplan
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +60,11 @@ func TestInvalidInputs(t *testing.T) {
 	}
 	if _, err := New(st, 0, 0.5, 1); err == nil {
 		t.Error("empty design must fail")
+	}
+	for _, aspect := range []float64{0, -1, math.NaN()} {
+		if _, err := New(st, 1000, 0.5, aspect); err == nil {
+			t.Errorf("aspect %v must fail", aspect)
+		}
 	}
 }
 

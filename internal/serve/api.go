@@ -1,15 +1,15 @@
 // Package serve implements the ffetd daemon: a long-running HTTP+JSON
-// front end over the staged flow. Single-flow, sweep and Monte Carlo
-// variation requests are thin callers of exp's sweep planner and
-// executor, the same ones the batch tables run; the daemon adds what a
-// long-lived process needs around them: the exp.Store checkpoint store
+// front end over the staged flow. Single-flow and sweep requests are thin
+// callers of exp's memoized sweep entry (Suite.Sweep), the one the batch
+// tables run, so they share the tables' result memo; Monte Carlo requests
+// call its executor directly for the live session. The daemon adds what
+// a long-lived process needs around them: the exp.Store checkpoint store
 // the executor builds synthesis roots and prefixes through (so concurrent
 // and later requests whose sharing classes match reuse one staged
-// prefix), an exact-config memo of marshaled results, NDJSON progress
-// streaming, and admission through a bounded worker pool. Responses are
-// byte-identical to the offline ffetexp/ffetflow paths: the daemon runs
-// the same staged sessions, forked at the same class boundaries, under
-// the same configs.
+// prefix), NDJSON progress streaming, and admission through a bounded
+// worker pool. Responses are byte-identical to the offline
+// ffetexp/ffetflow paths: the daemon runs the same staged sessions,
+// forked at the same class boundaries, under the same configs.
 package serve
 
 import (
@@ -28,8 +28,9 @@ import (
 // FlowSpec is the wire form of one flow configuration. It maps onto
 // core.DefaultFlowConfig exactly the way the CLIs do, so a daemon run
 // and an offline run of the same spec execute the same FlowConfig.
-// TargetGHz, Util and Front are required; zero Aspect, Seed and MaxDRVs
-// take the flow defaults (1.0, 1, 10).
+// TargetGHz, Util and Front are required; an absent (zero) Aspect, Seed
+// or MaxDRVs takes the DefaultFlowConfig value (1.0, 1, 10), and every
+// other value is used as given, for Validate to refuse if it must.
 type FlowSpec struct {
 	Arch      string  `json:"arch,omitempty"` // "FFET" (default) or "CFET"
 	Front     int     `json:"front"`
@@ -46,7 +47,9 @@ type FlowSpec struct {
 // The config name is rendered from the config fields alone, so identical
 // specs — from any client — produce identical configs, results and
 // response bytes. Config only parses the wire form (the arch name and the
-// required front); Spec also checks the resulting config.
+// required front) and maps only zero fields to defaults; Spec also
+// checks the resulting config, so a negative aspect or DRV budget is
+// refused there, not replaced.
 func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 	var arch tech.Arch
 	switch strings.ToUpper(sp.Arch) {
@@ -61,14 +64,14 @@ func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
 		return 0, core.FlowConfig{}, fmt.Errorf("serve: front metal count must be > 0")
 	}
 	cfg := core.DefaultFlowConfig(tech.Pattern{Front: sp.Front, Back: sp.Back}, sp.TargetGHz, sp.Util)
-	if sp.Aspect > 0 {
+	if sp.Aspect != 0 {
 		cfg.AspectRatio = sp.Aspect
 	}
 	cfg.BackPinFraction = sp.BackPins
 	if sp.Seed != 0 {
 		cfg.Seed = sp.Seed
 	}
-	if sp.MaxDRVs > 0 {
+	if sp.MaxDRVs != 0 {
 		cfg.MaxDRVs = sp.MaxDRVs
 	}
 	cfg.Name = fmt.Sprintf("%s-F%dB%d-t%.3g-u%.3g-a%.3g-bp%.3g-s%d",

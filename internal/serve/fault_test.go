@@ -13,9 +13,9 @@ import (
 )
 
 // TestFaultSchedulesThroughHandlers drives seeded fault schedules —
-// errors and panics at the serve admission/memo sites, the executor's
-// exp.* sites and inside every core stage — through live flow, sweep and
-// MC handlers. For every seed:
+// errors and panics at the serve admission site, the memo lookup and the
+// executor's exp.* sites and inside every core stage — through live
+// flow, sweep and MC handlers. For every seed:
 // failures must surface as classified JSON error bodies (never an
 // unclassified kind, never a daemon crash), and with the schedule
 // deactivated the daemon must immediately serve offline-identical bytes

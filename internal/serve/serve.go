@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,9 +30,6 @@ type Options struct {
 	// the in-flight ones; past it requests are rejected with 429
 	// (default 64).
 	MaxQueue int
-	// MemoEntries bounds the exact-config result memo: past it the
-	// least-recently-used marshaled Summary is evicted (default 4096).
-	MemoEntries int
 }
 
 func (o Options) withDefaults() Options {
@@ -46,17 +42,15 @@ func (o Options) withDefaults() Options {
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 64
 	}
-	if o.MemoEntries <= 0 {
-		o.MemoEntries = 4096
-	}
 	return o
 }
 
 // Server is the ffetd daemon state: the exp suite (libraries, netlists,
-// the experiment tables and their result memo), the checkpoint store
-// every flow, sweep and MC request's executor call builds through, the
-// marshaled-result memo, and the admission pool. Create with New, mount
-// Handler on an http.Server, and Close on shutdown.
+// the experiment tables, the one result memo and the executor counters
+// that tables, flows, sweeps and MC requests all share), the checkpoint
+// store every flow, sweep and MC request's executor call builds through,
+// and the admission pool. Create with New, mount Handler on an
+// http.Server, and Close on shutdown.
 type Server struct {
 	opt   Options
 	suite *exp.Suite
@@ -65,18 +59,6 @@ type Server struct {
 	// the pool.
 	suiteMu sync.Mutex
 	store   *exp.Store
-
-	// mu guards the memo and the summed executor reports. The memo holds
-	// the marshaled Summary of completed exact-config runs, keyed by
-	// exp.MemoKey and bounded by an entry-count LRU
-	// (Options.MemoEntries) — bodies are a few hundred bytes, so a count
-	// bound suffices where the checkpoint store needs measured bytes.
-	// Error responses are never memoized.
-	mu        sync.Mutex
-	memo      map[exp.RunKey]*list.Element
-	memoLRU   list.List // Front = most recent; values are memoEntry
-	memoStats memoStats // Entries and MaxEntries unset
-	sweep     exp.Report
 
 	// baseCtx bounds every checkpoint build and outlives any single
 	// request; Close cancels it, killing in-flight work.
@@ -105,7 +87,6 @@ func New(opt Options) (*Server, error) {
 		opt:        opt,
 		suite:      suite,
 		store:      exp.NewStore(ctx, opt.CacheBytes),
-		memo:       make(map[exp.RunKey]*list.Element),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sem:        make(chan struct{}, opt.MaxWorkers),
@@ -192,66 +173,32 @@ type outcome struct {
 	partial *core.Flow
 }
 
-// run answers specs from the result memo and the rest through one
-// executor call, memoizing what it computes. admit gates each unit of
-// executor work (nil when the caller already holds a worker slot); a
-// sweep tags progress with the spec index and streams a "point" event
-// per answered spec.
+// run answers specs through the suite's memoized sweep entry over the
+// checkpoint store. admit gates each unit of executor work (nil when the
+// caller already holds a worker slot); a sweep tags progress with the
+// spec index and streams a "point" event per answered spec.
 func (s *Server) run(ctx context.Context, specs []exp.Spec, admit func() (func(), error), st *streamer, sweep bool) []outcome {
 	out := make([]outcome, len(specs))
-	answer := func(i int, o outcome) {
-		out[i] = o
-		if sweep && o.err == nil {
-			st.emit(event{Event: "point", Point: &i, Data: o.body})
-		}
-	}
-	plan := exp.PlanSweep(specs, func(i int) bool {
-		if err := faultinject.Fire("serve.memo"); err != nil {
-			out[i] = outcome{err: err}
-			return true
-		}
-		body := s.memoGet(exp.MemoKey(specs[i].Arch, specs[i].Cfg))
-		if body == nil {
-			return false
-		}
-		hit := true
-		st.emit(event{Event: "checkpoint", Point: pointTag(sweep, i), Kind: "memo", Hit: &hit})
-		answer(i, outcome{body: body})
-		return true
-	})
-	s.execute(ctx, plan, admit, st, sweep, func(p int, res *core.FlowResult, f *core.Flow, err error) {
-		o := outcome{err: err}
-		if err != nil {
-			o.partial = f
-		} else if o.body, o.err = json.Marshal(NewSummary(res)); o.err == nil {
-			pt := plan.Points[p].Spec
-			s.memoPut(exp.MemoKey(pt.Arch, pt.Cfg), o.body)
-		}
-		for _, i := range plan.Points[p].Idxs {
-			answer(i, o)
-		}
-	})
-	return out
-}
-
-// execute runs plan through the suite's executor over the checkpoint
-// store, streams its progress tagged with each plan point's first spec,
-// and adds its report to the daemon's sweep statistics.
-func (s *Server) execute(ctx context.Context, plan *exp.Plan, admit func() (func(), error), st *streamer, sweep bool, done func(int, *core.FlowResult, *core.Flow, error)) {
-	rep := s.suite.Execute(plan, exp.Exec{Ctx: ctx, Store: s.store, Admit: admit, Done: done,
-		Emit: func(p int, ev exp.Event) {
-			pt := pointTag(sweep, plan.Points[p].Idxs[0])
-			if ev.Checkpoint != "" {
-				st.emit(event{Event: "checkpoint", Point: pt, Kind: ev.Checkpoint, Hit: &ev.Hit})
-				return
+	s.suite.Sweep(specs, exp.Exec{Ctx: ctx, Store: s.store, Admit: admit,
+		Emit: func(i int, ev exp.Event) { st.progress(pointTag(sweep, i), ev) },
+		Done: func(i int, res *core.FlowResult, f *core.Flow, err error) {
+			o := outcome{err: err}
+			if err != nil {
+				o.partial = f
+			} else {
+				// A memo entry a table filled carries no config name, so
+				// every answer takes the requested spec's.
+				sum := NewSummary(res)
+				sum.Name = specs[i].Cfg.Name
+				o.body, o.err = json.Marshal(sum)
 			}
-			st.emit(event{Event: "stage", Point: pt, Stage: ev.Stage.String(),
-				Ms: float64(ev.Dur) / float64(time.Millisecond)})
+			out[i] = o
+			if sweep && o.err == nil {
+				st.emit(event{Event: "point", Point: &i, Data: o.body})
+			}
 		},
 	})
-	s.mu.Lock()
-	s.sweep.Add(rep)
-	s.mu.Unlock()
+	return out
 }
 
 // pointTag is the point field of a progress event: the spec index for
@@ -261,40 +208,6 @@ func pointTag(sweep bool, i int) *int {
 		return nil
 	}
 	return &i
-}
-
-// memoEntry is one LRU-listed memo record.
-type memoEntry struct {
-	key  exp.RunKey
-	body json.RawMessage
-}
-
-func (s *Server) memoGet(key exp.RunKey) json.RawMessage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.memo[key]
-	if !ok {
-		s.memoStats.Misses++
-		return nil
-	}
-	s.memoStats.Hits++
-	s.memoLRU.MoveToFront(el)
-	return el.Value.(memoEntry).body
-}
-
-func (s *Server) memoPut(key exp.RunKey, body json.RawMessage) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.memo[key]; ok {
-		return
-	}
-	s.memo[key] = s.memoLRU.PushFront(memoEntry{key: key, body: body})
-	for len(s.memo) > s.opt.MemoEntries {
-		back := s.memoLRU.Back()
-		delete(s.memo, back.Value.(memoEntry).key)
-		s.memoLRU.Remove(back)
-		s.memoStats.Evictions++
-	}
 }
 
 // streamer serializes NDJSON event lines onto one response. A nil
@@ -328,6 +241,16 @@ func (st *streamer) emit(ev event) {
 	if st.fl != nil {
 		st.fl.Flush()
 	}
+}
+
+// progress streams one executor event under the given point tag.
+func (st *streamer) progress(point *int, ev exp.Event) {
+	if ev.Checkpoint != "" {
+		st.emit(event{Event: "checkpoint", Point: point, Kind: ev.Checkpoint, Hit: &ev.Hit})
+		return
+	}
+	st.emit(event{Event: "stage", Point: point, Stage: ev.Stage.String(),
+		Ms: float64(ev.Dur) / float64(time.Millisecond)})
 }
 
 // writeBody terminates a request: streaming responses get the final body
@@ -497,8 +420,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // handleMC samples a variation study off the completed flow of the base
 // spec. The flow runs through the same executor and checkpoint store as
 // /v1/flow, so concurrent MC requests on one design share its prefix; the
-// basis needs the live session (engine + RC), so this never reads the
-// result memo.
+// basis needs the live session (engine + RC), so this calls Execute
+// directly and never reads the result memo.
 func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 	var req MCRequest
 	if !decodeJSON(w, r, &req) {
@@ -511,8 +434,9 @@ func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 	s.serveOne(w, r, req.Base, func(ctx context.Context, st *streamer, sp exp.Spec) ([]byte, *core.Flow, error) {
 		var leaf *core.Flow
 		var err error
-		s.execute(ctx, exp.PlanSweep([]exp.Spec{sp}, nil), nil, st, false, func(_ int, _ *core.FlowResult, f *core.Flow, e error) {
-			leaf, err = f, e
+		s.suite.Execute(exp.PlanSweep([]exp.Spec{sp}, nil), exp.Exec{Ctx: ctx, Store: s.store,
+			Emit: func(_ int, ev exp.Event) { st.progress(nil, ev) },
+			Done: func(_ int, _ *core.FlowResult, f *core.Flow, e error) { leaf, err = f, e },
 		})
 		if err != nil {
 			return nil, leaf, err
@@ -536,9 +460,9 @@ func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 
 // handleExp runs one experiment table (?id=fig09) through the embedded
 // exp suite — the batch runner served over HTTP. Tables share the
-// suite's result memo across requests but, like every batch sweep,
-// neither read nor fill the checkpoint store; /debug/stats republishes
-// the suite's counters.
+// suite's result memo with each other and with flow and sweep requests
+// but, like every batch sweep, neither read nor fill the checkpoint
+// store.
 func (s *Server) handleExp(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	run, ok := s.suite.Experiment(id)
@@ -575,22 +499,21 @@ func (s *Server) handleExp(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(resp, '\n'))
 }
 
-// Stats is the /debug/stats payload. Sweep sums the executor reports of
-// every flow, sweep and MC request; Exp sums the suite's /v1/exp sweeps.
+// Stats is the /debug/stats payload. Memo counts the suite's result
+// memo: every lookup by /v1/exp tables, flows and sweeps. Sweep sums the
+// reports of every executor call: tables, flows, sweeps and MC requests.
 type Stats struct {
 	Checkpoint exp.StoreStats `json:"checkpoint"`
 	Memo       memoStats      `json:"memo"`
-	Exp        exp.CacheStats `json:"exp"`
 	Sweep      exp.Report     `json:"sweep"`
 	Requests   reqStats       `json:"requests"`
 }
 
 type memoStats struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Evictions  int64 `json:"evictions"`
-	Entries    int   `json:"entries"`
-	MaxEntries int   `json:"max_entries"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	Entries   int   `json:"entries"`
 }
 
 type reqStats struct {
@@ -603,15 +526,11 @@ type reqStats struct {
 
 // StatsSnapshot collects every cache and admission counter.
 func (s *Server) StatsSnapshot() Stats {
-	s.mu.Lock()
-	memo, sweep := s.memoStats, s.sweep
-	memo.Entries, memo.MaxEntries = len(s.memo), s.opt.MemoEntries
-	s.mu.Unlock()
+	cs := s.suite.Stats()
 	return Stats{
 		Checkpoint: s.store.Stats(),
-		Memo:       memo,
-		Exp:        s.suite.Stats(),
-		Sweep:      sweep,
+		Memo:       memoStats{cs.MemoHits, cs.MemoMisses, cs.MemoEvictions, cs.MemoEntries},
+		Sweep:      cs.Report,
 		Requests: reqStats{
 			Accepted: s.accepted.Load(),
 			Rejected: s.rejected.Load(),

@@ -267,44 +267,6 @@ func TestHaltedFlowTerminates(t *testing.T) {
 	}
 }
 
-// TestMemoEviction: the exact-config result memo is an entry-count LRU
-// bounded by MemoEntries — regression test for unbounded growth in a
-// long-running daemon. An evicted config recomputes through the
-// still-cached checkpoints to identical bytes and re-enters the memo.
-func TestMemoEviction(t *testing.T) {
-	s := newTestServer(t, Options{Scale: exp.Quick, MemoEntries: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	pins := []float64{0.1, 0.5, 0.9}
-	wants := make([][]byte, len(pins))
-	for i, bp := range pins {
-		sp := baseSpec
-		sp.BackPins = bp
-		wants[i] = wrapResult(t, offlineBody(t, s, sp))
-		status, got := post(t, ts, "/v1/flow", sp)
-		if status != http.StatusOK || !bytes.Equal(got, wants[i]) {
-			t.Fatalf("point %d: status %d\n got %s\nwant %s", i, status, got, wants[i])
-		}
-	}
-	st := getStats(t, ts)
-	if st.Memo.Entries != 2 || st.Memo.Evictions != 1 || st.Memo.MaxEntries != 2 {
-		t.Fatalf("memo not LRU-bounded after %d distinct configs: %+v", len(pins), st.Memo)
-	}
-
-	// The first config is the LRU victim; re-requesting it must
-	// recompute the same bytes and evict the next-oldest in turn.
-	sp := baseSpec
-	sp.BackPins = pins[0]
-	status, got := post(t, ts, "/v1/flow", sp)
-	if status != http.StatusOK || !bytes.Equal(got, wants[0]) {
-		t.Fatalf("evicted config recompute: status %d\n got %s\nwant %s", status, got, wants[0])
-	}
-	if m := getStats(t, ts).Memo; m.Entries != 2 || m.Evictions != 2 {
-		t.Fatalf("memo after recompute: %+v", m)
-	}
-}
-
 // TestSweepGoldenAndCheckpointSharing: a 5-point back-pin sweep through
 // the daemon is byte-identical to the offline per-point path. The points
 // form one prefix group whose prefix node the leader and the four
@@ -709,6 +671,10 @@ func TestInvalidRequests(t *testing.T) {
 		{"/v1/flow", `{"front":99,"target_ghz":1.4,"util":0.7}`},
 		{"/v1/flow", `{"arch":"CFET","front":4,"back":4,"target_ghz":1.4,"util":0.7}`},
 		{"/v1/flow", `{"front":4,"target_ghz":1.4,"util":0.7,"back_pins":0.3}`},
+		// Only an absent (zero) aspect or DRV budget takes the default.
+		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":0.72,"aspect":-2}`},
+		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":0.72,"max_drvs":-5}`},
+		{"/v1/sweep", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.72},"axis":"aspect","values":[1,-1]}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"back_pins","values":[0,0.3]}`},
 		{"/v1/mc", `{"base":{"arch":"CFET","front":4,"back":4,"target_ghz":1.4,"util":0.7}}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"nm","values":[1]}`},
@@ -1113,8 +1079,8 @@ func TestMCEndpoint(t *testing.T) {
 	}
 }
 
-// TestExpEndpoint: /v1/exp serves an experiment table and the stats
-// endpoint republishes the suite's executor counters.
+// TestExpEndpoint: /v1/exp serves an experiment table, and the stats
+// endpoint's sweep section counts the table's executor calls.
 func TestExpEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment tables are slow; skipped under -short")
@@ -1154,8 +1120,8 @@ func TestExpEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fig08a: status %d", resp.StatusCode)
 	}
-	if st := getStats(t, ts); st.Exp.SynthRootMisses == 0 {
-		t.Fatalf("exp synth-root counters not published: %+v", st.Exp)
+	if st := getStats(t, ts); st.Sweep.SynthRootMisses == 0 {
+		t.Fatalf("table synth-root counters not published: %+v", st.Sweep)
 	}
 
 	resp, err = ts.Client().Get(ts.URL + "/v1/exp?id=nope")
@@ -1166,5 +1132,44 @@ func TestExpEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown id: status %d", resp.StatusCode)
+	}
+}
+
+// TestFlowAnswersFromTableMemo: tables and flow requests share one result
+// memo, so a /v1/flow of a point a /v1/exp table already ran answers from
+// it: offline-identical bytes under the requested spec's name, one memo
+// hit, and no checkpoint built.
+func TestFlowAnswersFromTableMemo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment tables are slow; skipped under -short")
+	}
+	s := newTestServer(t, Options{Scale: exp.Quick})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/exp?id=fig13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fig13: status %d", resp.StatusCode)
+	}
+
+	// fig13's 12-layer point.
+	sp := FlowSpec{Front: 12, Back: 12, TargetGHz: 1.5, Util: 0.76, BackPins: 0.5}
+	want := wrapResult(t, offlineBody(t, s, sp))
+	before := getStats(t, ts)
+	status, got := post(t, ts, "/v1/flow", sp)
+	if status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("flow after fig13: status %d\n got %s\nwant %s", status, got, want)
+	}
+	after := getStats(t, ts)
+	if after.Memo.Hits != before.Memo.Hits+1 {
+		t.Errorf("memo hits %d -> %d, want +1", before.Memo.Hits, after.Memo.Hits)
+	}
+	if after.Checkpoint.Misses != before.Checkpoint.Misses {
+		t.Errorf("checkpoint misses %d -> %d, want unchanged", before.Checkpoint.Misses, after.Checkpoint.Misses)
 	}
 }
