@@ -27,29 +27,14 @@ func main() {
 	util := flag.Float64("util", 0.72, "placement utilization")
 	backPins := flag.Float64("backpins", 0.5, "backside input pin density ratio")
 	regs := flag.Int("regs", 16, "architectural registers (8/16/32)")
-	samples := flag.Int("samples", 0, "Monte Carlo samples (0 = default)")
-	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS; capped at GOMAXPROCS)")
-	seed := flag.Uint64("seed", 0, "PRNG seed (0 = default)")
-	sigma := flag.Float64("sigma", 0, "per-side overlay sigma in nm (0 = default)")
-	floor := flag.Float64("floor", 0, "screening floor in fF (0 = default)")
+	opt := variation.DefaultOptions()
+	flag.IntVar(&opt.Samples, "samples", opt.Samples, "Monte Carlo samples")
+	flag.IntVar(&opt.Workers, "workers", opt.Workers, "sampling goroutines (capped at GOMAXPROCS)")
+	flag.Uint64Var(&opt.Seed, "seed", opt.Seed, "PRNG seed")
+	flag.Float64Var(&opt.SigmaNm, "sigma", opt.SigmaNm, "per-side overlay sigma in nm")
+	flag.Float64Var(&opt.FloorFF, "floor", opt.FloorFF, "screening floor in fF (0 screens no net out)")
 	flag.Parse()
 
-	opt := variation.DefaultOptions()
-	if *samples != 0 {
-		opt.Samples = *samples
-	}
-	if *workers != 0 {
-		opt.Workers = *workers
-	}
-	if *seed != 0 {
-		opt.Seed = *seed
-	}
-	if *sigma != 0 {
-		opt.SigmaNm = *sigma
-	}
-	if *floor != 0 {
-		opt.FloorFF = *floor
-	}
 	if err := opt.Validate(); err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 // reads it first; Name is read by none.
 var fieldStages = map[string]Stage{
 	"Name":                  Stage(NumStages),
-	"Pattern.Front":         StagePowerplan,
-	"Pattern.Back":          StagePowerplan,
+	"Pattern.Front":         StagePartition,
+	"Pattern.Back":          StagePartition,
 	"TargetFreqGHz":         StageSynth,
 	"Utilization":           StageFloorplan,
 	"AspectRatio":           StageFloorplan,

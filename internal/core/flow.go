@@ -67,9 +67,10 @@ func DefaultFlowConfig(pattern tech.Pattern, targetGHz, util float64) FlowConfig
 // frontside-only FM1 pattern at 1 GHz and 70% utilization), and Name is
 // empty. It is the one record of which stage reads which field, each
 // listed at its earliest reader (Seed also feeds pin assignment; Pattern,
-// partition and routing), since resuming there re-runs every later stage
-// anyway. Before(Stage(NumStages)) is c without its Name, and every
-// Before of a valid config is valid.
+// read first by the partition, also feeds routing and names the layer
+// Flow.DEF draws the power stripes on), since resuming there re-runs
+// every later stage anyway. Before(Stage(NumStages)) is c without its
+// Name, and every Before of a valid config is valid.
 func (c FlowConfig) Before(s Stage) FlowConfig {
 	n := DefaultFlowConfig(tech.Pattern{Front: 1}, 1, 0.70)
 	if s > StageSynth {
@@ -78,14 +79,11 @@ func (c FlowConfig) Before(s Stage) FlowConfig {
 	if s > StageFloorplan {
 		n.Utilization, n.AspectRatio = c.Utilization, c.AspectRatio
 	}
-	if s > StagePowerplan {
-		n.Pattern = c.Pattern
-	}
 	if s > StagePlace {
 		n.Seed = c.Seed
 	}
 	if s > StagePartition {
-		n.BackPinFraction = c.BackPinFraction
+		n.Pattern, n.BackPinFraction = c.Pattern, c.BackPinFraction
 	}
 	if s > StageRoute {
 		n.Route, n.MaxDRVs = c.Route, c.MaxDRVs
@@ -249,8 +247,9 @@ func (f *Flow) DEF() (front, back, merged *def.Design, err error) {
 	if next <= StageRoute {
 		return nil, nil, nil, fmt.Errorf("core: no routed layout: %v has not run", StageRoute)
 	}
-	front = buildDEF(f.work, f.fp, f.pp, f.frontRes, tech.Front)
-	back = buildDEF(f.work, f.fp, f.pp, f.backRes, tech.Back)
+	pdn := fmt.Sprintf("BM%d", f.st.HighestPDNLayer(f.cfg.Pattern))
+	front = buildDEF(f.work, f.fp, f.pp, pdn, f.frontRes, tech.Front)
+	back = buildDEF(f.work, f.fp, f.pp, pdn, f.backRes, tech.Back)
 	merged, err = def.Merge(f.work.Name, front, back)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: merge DEF: %w", err)
@@ -258,8 +257,9 @@ func (f *Flow) DEF() (front, back, merged *def.Design, err error) {
 	return front, back, merged, nil
 }
 
-// buildDEF renders one side's physical database.
-func buildDEF(nl *netlist.Netlist, fp *floorplan.Plan, pp *powerplan.Result, rr *route.Result, side tech.Side) *def.Design {
+// buildDEF renders one side's physical database; pdn names the backside
+// layer the power stripes are drawn on.
+func buildDEF(nl *netlist.Netlist, fp *floorplan.Plan, pp *powerplan.Result, pdn string, rr *route.Result, side tech.Side) *def.Design {
 	d := def.New(nl.Name + "_" + sideSuffix(side))
 	d.Die = fp.Core
 	d.Rows = make([]def.Row, 0, len(fp.Rows))
@@ -303,7 +303,7 @@ func buildDEF(nl *netlist.Netlist, fp *floorplan.Plan, pp *powerplan.Result, rr 
 	// BSPDN stripes live on the backside; tap cells appear in both views
 	// (they span the wafer).
 	if side == tech.Back {
-		d.SpecialNets = pp.SpecialNets(fp)
+		d.SpecialNets = pp.SpecialNets(fp, pdn)
 	}
 	for _, c := range pp.TapComponents() {
 		d.AddComponent(c)

@@ -34,6 +34,8 @@ func TestErrInvalidConfigTaxonomy(t *testing.T) {
 		mutate func(*FlowConfig)
 	}{
 		{"backpins_without_back_layers", func(c *FlowConfig) { c.Pattern = tech.Pattern{Front: 6} }},
+		// No stage checks the pattern again, so Validate must refuse it.
+		{"pattern_out_of_range", func(c *FlowConfig) { c.Pattern.Front = 13 }},
 		{"target_nan", func(c *FlowConfig) { c.TargetFreqGHz = nan }},
 		{"target_pos_inf", func(c *FlowConfig) { c.TargetFreqGHz = inf }},
 		{"target_neg_inf", func(c *FlowConfig) { c.TargetFreqGHz = -inf }},

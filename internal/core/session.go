@@ -463,12 +463,13 @@ func (f *Flow) stageCtx() context.Context {
 // Forking never executes stages: if the parent has not yet reached the
 // divergence stage, the child simply resumes wherever the parent
 // stopped. Run the parent to the deepest shared stage first (e.g.
-// RunTo(StageCTS) before a BackPinFraction sweep) to maximize reuse. No
-// config delta first reaches StageCTS, StageExtract, StageSTA or
-// StagePower, so a child resumes at one of them only when its parent
-// stopped there; one resuming at StageCTS (a parent stopped after
-// StagePlace) re-runs the clock tree, legalization and refinement in full
-// on its own snapshot of the parent's global placement.
+// RunTo(StageCTS) before a BackPinFraction or metal-pattern sweep) to
+// maximize reuse. No config delta first reaches StagePowerplan,
+// StageCTS, StageExtract, StageSTA or StagePower, so a child resumes at
+// one of them only when its parent stopped there; one resuming at
+// StageCTS (a parent stopped after StagePlace) re-runs the clock tree,
+// legalization and refinement in full on its own snapshot of the
+// parent's global placement.
 //
 // Fork is safe under arbitrary concurrency: forking a parent that is
 // mid-RunTo fails fast with ErrForkRace (no partial checkpoint is ever
@@ -685,10 +686,7 @@ func (f *Flow) stageFloorplan() error {
 // stagePowerplan plans the BSPDN stripes and power tap cells; an
 // infeasible plan halts the run as invalid.
 func (f *Flow) stagePowerplan() error {
-	pp, err := powerplan.Plan(f.fp, f.cfg.Pattern)
-	if err != nil {
-		return err
-	}
+	pp := powerplan.Plan(f.fp)
 	f.pp = pp
 	f.res.PowerStripes = len(pp.Stripes)
 	if !pp.Feasible {

@@ -102,7 +102,7 @@ func rename(c *FlowConfig) { c.Name = "renamed" }
 var forkCases = []forkCase{
 	{"backpins", func(c *FlowConfig) { c.BackPinFraction = 0.16 }, StagePartition, false},
 	{"util", func(c *FlowConfig) { c.Utilization = 0.68 }, StageFloorplan, false},
-	{"pattern", func(c *FlowConfig) { c.Pattern = tech.Pattern{Front: 8, Back: 4} }, StagePowerplan, false},
+	{"pattern", func(c *FlowConfig) { c.Pattern = tech.Pattern{Front: 8, Back: 4} }, StagePartition, false},
 	{"seed", func(c *FlowConfig) { c.Seed = 7 }, StagePlace, false},
 	// Resuming at StageCTS is the one fork path that consumes the
 	// post-global-placement checkpoint (placeSnap.Snapshot).
@@ -197,7 +197,8 @@ func checkSharedVariationBasis(t *testing.T, parent, child *Flow) {
 	if cb.Engine != pb.Engine || &cb.NetRC[0] != &pb.NetRC[0] {
 		t.Fatal("post-STA fork must share the parent's engine and RC view")
 	}
-	opt := variation.Options{Samples: 64, Workers: 1, Seed: 3}
+	opt := variation.DefaultOptions()
+	opt.Samples, opt.Workers, opt.Seed = 64, 1, 3
 	cs, err := variation.Study(context.Background(), cb, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -445,6 +446,50 @@ func TestFlowDEFNeedsRoute(t *testing.T) {
 	}
 	if done, err := renderDEF(f); err != nil || done != atRoute {
 		t.Errorf("completed session renders a different layout than at StageRoute (err %v)", err)
+	}
+}
+
+// TestPDNLayerFollowsPattern: the power plan does not read the metal
+// pattern, so a pattern fork resumes at StagePartition on its parent's
+// power plan, and its back DEF still draws the VDD/VSS stripes on the
+// PDN layer of its own pattern: BM8, two above FM6BM6's signal layers.
+func TestPDNLayerFollowsPattern(t *testing.T) {
+	cfg := DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.72)
+	cfg.BackPinFraction = 0.5
+	parent, err := NewFlow(smallCore(t, ffetLib), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.RunTo(StageCTS); err != nil {
+		t.Fatal(err)
+	}
+	child, err := parent.Fork(func(c *FlowConfig) { c.Pattern = tech.Pattern{Front: 6, Back: 6} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if child.next != StagePartition || child.pp != parent.pp {
+		t.Fatalf("pattern fork resumes at %v (power plan shared: %v), want %v on the parent's plan",
+			child.next, child.pp == parent.pp, StagePartition)
+	}
+	if _, err := child.Run(); err != nil {
+		t.Fatal(err)
+	}
+	_, back, _, err := child.DEF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.SpecialNets) != 2 {
+		t.Fatalf("back DEF has %d special nets, want VDD and VSS", len(back.SpecialNets))
+	}
+	for _, sn := range back.SpecialNets {
+		if len(sn.Wires) == 0 {
+			t.Errorf("%s has no stripes", sn.Name)
+		}
+		for _, w := range sn.Wires {
+			if w.Layer != "BM8" {
+				t.Fatalf("%s stripe on %s, want BM8", sn.Name, w.Layer)
+			}
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func TestCTSThenLegalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp, _ := floorplan.New(lib.Stack, nl.CellAreaNm2(), 0.65, 1.0)
-	pp, _ := powerplan.Plan(fp, tech.Pattern{Front: 12, Back: 12})
+	pp := powerplan.Plan(fp)
 	place.Global(nl, fp, place.DefaultOptions())
 	if _, err := Run(nl, fp, DefaultOptions()); err != nil {
 		t.Fatal(err)

@@ -310,18 +310,26 @@ func (s *Suite) recall(sp Spec) (res *core.FlowResult, err error) {
 }
 
 // Sweep is the suite's one memoized sweep entry, shared by the batch
-// tables (runAll) and the serve daemon's flows and sweeps: it answers
-// each spec from the result memo, plans the misses (PlanSweep), runs the
-// plan as one executor call over x, and memoizes every completed run.
+// tables (runAll) and the serve daemon's flows and sweeps: it refuses
+// each spec core.FlowConfig.Validate refuses, answers the rest from the
+// result memo, plans the misses (PlanSweep), runs the plan as one
+// executor call over x, and memoizes every completed run.
 //
-// x's Emit and Done take spec indices, not plan point indices. A memo
-// hit emits a "memo" checkpoint event, then reaches Done with no session;
-// a spec whose lookup faulted reaches Done with its classified error. A
-// computed point's progress is tagged with the first spec it answers,
-// and its outcome reaches Done once for every spec it answers.
+// x's Emit and Done take spec indices, not plan point indices. A refused
+// spec reaches Done with its ErrInvalidConfig error before any work is
+// planned for it. A memo hit emits a "memo" checkpoint event, then
+// reaches Done with no session; a spec whose lookup faulted reaches Done
+// with its classified error. A computed point's progress is tagged with
+// the first spec it answers, and its outcome reaches Done once for every
+// spec it answers.
 func (s *Suite) Sweep(specs []Spec, x Exec) {
 	plan := PlanSweep(specs, func(i int) bool {
-		res, err := s.recall(specs[i])
+		sp := specs[i]
+		if err := sp.Cfg.Validate(s.Netlist(sp.Arch).Lib.Stack); err != nil {
+			x.Done(i, nil, nil, err)
+			return true
+		}
+		res, err := s.recall(sp)
 		if res == nil && err == nil {
 			return false
 		}
@@ -369,23 +377,14 @@ func (s *Suite) Run(arch tech.Arch, cfg core.FlowConfig) (*core.FlowResult, erro
 // way.
 func (s *Suite) runAll(specs []Spec) ([]*core.FlowResult, error) {
 	out := make([]*core.FlowResult, len(specs))
-	sem := make(chan struct{}, s.maxParallel())
-	s.Sweep(specs, Exec{
-		Ctx: s.ctx(),
-		Admit: func() (func(), error) {
-			sem <- struct{}{}
-			return func() { <-sem }, nil
-		},
-		Emit: func(int, Event) {},
-		Done: func(i int, res *core.FlowResult, _ *core.Flow, err error) {
-			if err != nil {
-				// A dead point's table placeholder: an invalid result
-				// carrying the classified error.
-				res = &core.FlowResult{Config: specs[i].Cfg, Arch: specs[i].Arch, Reason: "error: " + err.Error(), Err: err}
-			}
-			out[i] = res
-		},
-	})
+	s.Sweep(specs, s.batchExec(func(i int, res *core.FlowResult, _ *core.Flow, err error) {
+		if err != nil {
+			// A dead point's table placeholder: an invalid result
+			// carrying the classified error.
+			res = &core.FlowResult{Config: specs[i].Cfg, Arch: specs[i].Arch, Reason: "error: " + err.Error(), Err: err}
+		}
+		out[i] = res
+	}))
 	// Points a node failure killed share one error value, so the root
 	// cause is reported once, not once per sibling.
 	var errs []error
@@ -397,6 +396,21 @@ func (s *Suite) runAll(specs []Spec) ([]*core.FlowResult, error) {
 		}
 	}
 	return out, errors.Join(errs...)
+}
+
+// batchExec is the Exec of one batch executor call: the suite's context,
+// a pool of maxParallel slots, no checkpoint store and no progress sink.
+func (s *Suite) batchExec(done func(i int, res *core.FlowResult, f *core.Flow, err error)) Exec {
+	sem := make(chan struct{}, s.maxParallel())
+	return Exec{
+		Ctx: s.ctx(),
+		Admit: func() (func(), error) {
+			sem <- struct{}{}
+			return func() { <-sem }, nil
+		},
+		Emit: func(int, Event) {},
+		Done: done,
+	}
 }
 
 func (s *Suite) maxParallel() int {

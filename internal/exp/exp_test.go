@@ -225,7 +225,8 @@ func TestMemoEviction(t *testing.T) {
 
 // TestZeroSentinelsRefused: an aspect ratio or DRV budget of 0 is no
 // default but a config Run refuses, so it never runs like the default
-// config under a memo entry of its own.
+// config under a memo entry of its own, and Sweep refuses it before
+// planning it: no synthesis root or prefix is built for it.
 func TestZeroSentinelsRefused(t *testing.T) {
 	s := quickSuite(t)
 	for name, zero := range map[string]func(*core.FlowConfig){
@@ -238,8 +239,56 @@ func TestZeroSentinelsRefused(t *testing.T) {
 			t.Errorf("%s 0: err = %v, want ErrInvalidConfig", name, err)
 		}
 	}
-	if st := s.Stats(); st.MemoEntries != 0 {
+	st := s.Stats()
+	if st.MemoEntries != 0 {
 		t.Errorf("refused configs left %d memo entries", st.MemoEntries)
+	}
+	if n := st.SynthRootMisses + st.PrefixMisses; n != 0 {
+		t.Errorf("refused configs built %d synthesis roots and prefixes", n)
+	}
+}
+
+// TestFig12SharesPlacement: the metal pattern is a partition input, so
+// Fig. 12's layer x utilization grid, one sweep, synthesizes once and
+// places and clocks once per utilization, whatever the layer count.
+func TestFig12SharesPlacement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-flow sweep in -short mode")
+	}
+	s := quickSuite(t)
+	if _, err := s.Fig12(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.SynthRootMisses != 1 || st.PrefixMisses != int64(len(s.utilSweep())) {
+		t.Errorf("Fig12 built %d synthesis roots and %d prefixes, want 1 and %d",
+			st.SynthRootMisses, st.PrefixMisses, len(s.utilSweep()))
+	}
+}
+
+// TestScratchPointReportsSession: the DisablePrefixSharing reference path
+// hands Done the session of a completed point, as the shared path does,
+// so callers that sample a session (the mc table) run on either path.
+func TestScratchPointReportsSession(t *testing.T) {
+	if testing.Short() {
+		t.Skip("flow run in -short mode")
+	}
+	s := quickSuite(t)
+	s.DisablePrefixSharing = true
+	cfg := core.DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.72)
+	cfg.BackPinFraction = 0.5
+	var f *core.Flow
+	var err error
+	s.Execute(PlanSweep([]Spec{{tech.FFET, cfg}}, nil),
+		s.batchExec(func(_ int, _ *core.FlowResult, gf *core.Flow, gerr error) { f, err = gf, gerr }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f == nil {
+		t.Fatal("a completed scratch point reached Done with no session")
+	}
+	if _, err := f.VariationBasis(); err != nil {
+		t.Errorf("scratch session is no sampling basis: %v", err)
 	}
 }
 

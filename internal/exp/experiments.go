@@ -187,17 +187,16 @@ func (s *Suite) Table2() *Table {
 	return t
 }
 
-// areaUtilSweep runs a utilization sweep for one configuration. The
-// result slice always covers the full grid — dead points are failure
-// placeholders — and the error joins whatever killed them.
-func (s *Suite) areaUtilSweep(arch tech.Arch, pattern tech.Pattern, backPins float64, target float64) ([]*core.FlowResult, error) {
-	var specs []Spec
+// utilSpecs appends to specs one point per utilization of the grid
+// (utilSweep) for one configuration: the area- and max-utilization
+// sweeps' specs, which their tables run together in one runAll.
+func (s *Suite) utilSpecs(specs []Spec, arch tech.Arch, pattern tech.Pattern, backPins, target float64) []Spec {
 	for _, u := range s.utilSweep() {
 		cfg := core.DefaultFlowConfig(pattern, target, u)
 		cfg.BackPinFraction = backPins
 		specs = append(specs, Spec{arch, cfg})
 	}
-	return s.runAll(specs)
+	return specs
 }
 
 func maxValidUtil(results []*core.FlowResult) (float64, float64) {
@@ -216,8 +215,9 @@ func maxValidUtil(results []*core.FlowResult) (float64, float64) {
 
 // Fig08a compares core area vs utilization: CFET vs FFET FM12BM12.
 func (s *Suite) Fig08a() (*Table, error) {
-	ffet, fErr := s.areaUtilSweep(tech.FFET, tech.Pattern{Front: 12, Back: 12}, 0.5, 1.5)
-	cfet, cErr := s.areaUtilSweep(tech.CFET, tech.Pattern{Front: 12}, 0, 1.5)
+	specs := s.utilSpecs(nil, tech.FFET, tech.Pattern{Front: 12, Back: 12}, 0.5, 1.5)
+	rs, sweepErr := s.runAll(s.utilSpecs(specs, tech.CFET, tech.Pattern{Front: 12}, 0, 1.5))
+	ffet, cfet := rs[:len(specs)], rs[len(specs):]
 	t := &Table{
 		ID:     "fig08a",
 		Title:  "Core area vs utilization: CFET vs FFET FM12BM12 (target 1.5 GHz)",
@@ -236,7 +236,7 @@ func (s *Suite) Fig08a() (*Table, error) {
 		fmt.Sprintf("max util: FFET FM12BM12 %.0f%% (paper 86%%), CFET %.0f%%", fu*100, cu*100),
 		fmt.Sprintf("min core area: FFET %.1f um2, CFET %.1f um2 -> %.1f%% reduction (paper -25.1%%)",
 			fa, ca, 100*(1-fa/ca)))
-	return t, errors.Join(fErr, cErr)
+	return t, sweepErr
 }
 
 // Fig08b reports the core layouts at a common utilization: dimensions,
@@ -246,14 +246,11 @@ func (s *Suite) Fig08b() (*Table, error) {
 	util := 0.84
 	cfgF := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, util)
 	cfgF.BackPinFraction = 0.5
-	rf, err := s.Run(tech.FFET, cfgF)
+	rs, err := s.runAll([]Spec{{tech.FFET, cfgF}, {tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, util)}})
 	if err != nil {
 		return nil, err
 	}
-	rc, err := s.Run(tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, util))
-	if err != nil {
-		return nil, err
-	}
+	rf, rc := rs[0], rs[1]
 	t := &Table{
 		ID:     "fig08b",
 		Title:  "Core layout at 84% utilization",
@@ -275,8 +272,9 @@ func (s *Suite) Fig08b() (*Table, error) {
 // Fig08c compares core area vs utilization: CFET vs FFET FM12 (frontside
 // signals only).
 func (s *Suite) Fig08c() (*Table, error) {
-	ffet, fErr := s.areaUtilSweep(tech.FFET, tech.Pattern{Front: 12}, 0, 1.5)
-	cfet, cErr := s.areaUtilSweep(tech.CFET, tech.Pattern{Front: 12}, 0, 1.5)
+	specs := s.utilSpecs(nil, tech.FFET, tech.Pattern{Front: 12}, 0, 1.5)
+	rs, sweepErr := s.runAll(s.utilSpecs(specs, tech.CFET, tech.Pattern{Front: 12}, 0, 1.5))
+	ffet, cfet := rs[:len(specs)], rs[len(specs):]
 	t := &Table{
 		ID:     "fig08c",
 		Title:  "Core area vs utilization: CFET vs FFET FM12 (single-sided signals)",
@@ -294,7 +292,7 @@ func (s *Suite) Fig08c() (*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("max util: FFET FM12 %.0f%% (paper 76%%), CFET %.0f%%", fu*100, cu*100),
 		fmt.Sprintf("min area gain %.1f%% (paper -15.4%%)", 100*(1-fa/ca)))
-	return t, errors.Join(fErr, cErr)
+	return t, sweepErr
 }
 
 // Fig09 sweeps the synthesis target and reports power vs achieved
@@ -444,10 +442,6 @@ func (s *Suite) Fig11() (*Table, error) {
 // against the FFET FM12 baseline.
 func (s *Suite) Table3() (*Table, error) {
 	util := 0.76
-	base, err := s.Run(tech.FFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, util))
-	if err != nil {
-		return nil, err
-	}
 	type doe struct {
 		bp       float64
 		patterns []tech.Pattern
@@ -459,7 +453,8 @@ func (s *Suite) Table3() (*Table, error) {
 		{0.40, []tech.Pattern{{Front: 8, Back: 4}, {Front: 7, Back: 5}, {Front: 6, Back: 6}}},
 		{0.50, []tech.Pattern{{Front: 8, Back: 4}, {Front: 7, Back: 5}, {Front: 6, Back: 6}}},
 	}
-	var specs []Spec
+	// The FM12 baseline leads the DoEs in the one sweep.
+	specs := []Spec{{tech.FFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, util)}}
 	for _, d := range does {
 		for _, p := range d.patterns {
 			cfg := core.DefaultFlowConfig(p, 1.5, util)
@@ -468,6 +463,11 @@ func (s *Suite) Table3() (*Table, error) {
 		}
 	}
 	rs, sweepErr := s.runAll(specs)
+	base := rs[0]
+	if base.Err != nil {
+		return nil, base.Err
+	}
+	rs = rs[1:]
 	t := &Table{
 		ID:     "table3",
 		Title:  "Pin density x routing layer co-optimization vs FFET FM12 baseline",
@@ -497,6 +497,9 @@ func (s *Suite) Table3() (*Table, error) {
 }
 
 // Fig12 finds max utilization while shrinking both sides' layer counts.
+// Its layer x utilization grid runs as one sweep: the pattern is a
+// partition input, so every layer count at one utilization forks the same
+// placed-and-clocked prefix.
 func (s *Suite) Fig12() (*Table, error) {
 	layerCounts := []int{12, 8, 6, 5, 4, 3, 2}
 	if s.Scale == Full {
@@ -508,16 +511,17 @@ func (s *Suite) Fig12() (*Table, error) {
 		Header: []string{"layers/side", "max util %"},
 		Notes:  []string{"paper: flat 86% down to 4 layers/side, ~70% at 2"},
 	}
-	var errs []error
+	var specs []Spec
 	for _, n := range layerCounts {
-		rs, err := s.areaUtilSweep(tech.FFET, tech.Pattern{Front: n, Back: n}, 0.5, 1.5)
-		if err != nil {
-			errs = append(errs, err)
-		}
-		u, _ := maxValidUtil(rs)
+		specs = s.utilSpecs(specs, tech.FFET, tech.Pattern{Front: n, Back: n}, 0.5, 1.5)
+	}
+	rs, sweepErr := s.runAll(specs)
+	per := len(s.utilSweep())
+	for i, n := range layerCounts {
+		u, _ := maxValidUtil(rs[i*per : (i+1)*per])
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", n), f1(u * 100)})
 	}
-	return t, errors.Join(errs...)
+	return t, sweepErr
 }
 
 // Fig13 tracks power efficiency while shrinking both sides' layer counts
@@ -564,12 +568,15 @@ func (s *Suite) Fig13() (*Table, error) {
 }
 
 // VariationMC runs the overlay-variation Monte Carlo study of PAPERS.md's
-// FlipFET-vs-CFET benchmark on one placed-and-clocked FFET session: the
-// leader runs dual-sided pins (FP0.5BP0.5) through CTS, a fork flips the
-// back pins off (all-front — the single-sided CFET-like proxy with the
-// same cells, placement and clock tree), and both variants' StageSTA
-// checkpoints are sampled under the same overlay model and seed, so the
-// distributions differ only through pin sidedness.
+// FlipFET-vs-CFET benchmark on two FFET variants planned as one sweep:
+// dual-sided pins (FP0.5BP0.5) and all-front pins (the single-sided
+// CFET-like proxy with the same cells, placement and clock tree, since
+// both fork one placed-and-clocked prefix). The executor hands their
+// completed sessions to Done, as the daemon's Monte Carlo requests get
+// theirs, and both StageSTA checkpoints are sampled under the same
+// overlay model and seed, so the distributions differ only through pin
+// sidedness. The two flows bypass the result memo: a memo entry holds no
+// session to sample.
 func (s *Suite) VariationMC() (*Table, error) {
 	pattern := tech.Pattern{Front: 6, Back: 6}
 	samples := 2048
@@ -577,20 +584,19 @@ func (s *Suite) VariationMC() (*Table, error) {
 		pattern = tech.Pattern{Front: 12, Back: 12}
 		samples = 8192
 	}
-	cfg := core.DefaultFlowConfig(pattern, 1.5, 0.72)
-	cfg.BackPinFraction = 0.5
-	leader, err := core.NewFlow(s.Netlist(tech.FFET), cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctx := s.ctx()
-	if err := leader.RunToCtx(ctx, core.StageCTS); err != nil {
-		return nil, err
-	}
-	proxy, err := leader.Fork(func(c *core.FlowConfig) { c.BackPinFraction = 0 })
-	if err != nil {
-		return nil, err
-	}
+	dual := core.DefaultFlowConfig(pattern, 1.5, 0.72)
+	dual.BackPinFraction = 0.5
+	front := dual
+	front.BackPinFraction = 0
+	var bases [2]*variation.Basis
+	var errs [2]error
+	s.Execute(PlanSweep([]Spec{{tech.FFET, dual}, {tech.FFET, front}}, nil),
+		s.batchExec(func(p int, _ *core.FlowResult, f *core.Flow, err error) {
+			if err == nil {
+				bases[p], err = f.VariationBasis()
+			}
+			errs[p] = err
+		}))
 	opt := variation.DefaultOptions()
 	opt.Samples = samples
 	// The exp tables trade throughput for fidelity: the lowered screening
@@ -607,24 +613,17 @@ func (s *Suite) VariationMC() (*Table, error) {
 			opt.Samples, opt.SigmaNm, opt.CapSensPerNm, opt.ParasiticSigma, opt.FloorFF, opt.Seed)},
 	}
 	var sig [2]float64
-	for i, v := range []struct {
-		name string
-		f    *core.Flow
-	}{{"FP0.5BP0.5", leader}, {"FP1.0 proxy", proxy}} {
-		if err := v.f.RunToCtx(ctx, core.StageSTA); err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
+	for i, name := range []string{"FP0.5BP0.5", "FP1.0 proxy"} {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("%s: %w", name, errs[i])
 		}
-		basis, err := v.f.VariationBasis()
+		sum, err := variation.Study(s.ctx(), bases[i], opt)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		sum, err := variation.Study(ctx, basis, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		sig[i] = sum.SigmaWNSPs
 		t.Rows = append(t.Rows, []string{
-			v.name, f2(sum.MeanWNSPs), f2(sum.SigmaWNSPs),
+			name, f2(sum.MeanWNSPs), f2(sum.SigmaWNSPs),
 			f2(sum.P50WNSPs), f2(sum.P95WNSPs), f2(sum.P997WNSPs), f2(sum.MeanTNSPs),
 		})
 	}

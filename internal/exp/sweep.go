@@ -167,8 +167,7 @@ type Exec struct {
 	Emit func(p int, ev Event)
 	// Done receives each plan point's outcome exactly once: the result
 	// and the session that produced it, or a classified error with the
-	// session as far as it got (nil when none was opened). Scratch points
-	// report no session.
+	// session as far as it got (nil when none was opened).
 	Done func(p int, res *core.FlowResult, f *core.Flow, err error)
 }
 
@@ -189,13 +188,15 @@ type Exec struct {
 // and chain successors carry on. A failed node fails every point that
 // needs it with one shared error value.
 //
-// With DisablePrefixSharing set, every point instead runs as an unshared
-// from-scratch core.RunFlow: the reference path.
+// With DisablePrefixSharing set, every point instead runs in its own
+// session opened with core.NewFlow, sharing nothing: the reference path.
+// Its points reach Done with their sessions like any other.
 //
 // The call's Report is added to the suite's sum (Suite.Stats). Execute
 // neither reads nor fills the result memo: Sweep does, around it, and
 // only a caller that needs the live sessions of completed points, such as
-// the daemon's Monte Carlo requests, calls Execute directly.
+// the Monte Carlo table and the daemon's Monte Carlo requests, calls
+// Execute directly.
 func (s *Suite) Execute(plan *Plan, x Exec) {
 	e := &executor{s: s, x: x, plan: plan}
 	var wg sync.WaitGroup
@@ -291,12 +292,15 @@ func (e *executor) unit(p int, site string, run func(cfg core.FlowConfig) (*core
 	return f
 }
 
-// scratch runs point p as an unshared from-scratch flow.
+// scratch runs point p in a session of its own.
 func (e *executor) scratch(p int) {
 	arch := e.plan.Points[p].Spec.Arch
 	e.unit(p, "exp.scratch", func(cfg core.FlowConfig) (*core.FlowResult, *core.Flow, error) {
-		res, err := core.RunFlowCtx(e.x.Ctx, e.s.Netlist(arch), cfg)
-		return res, nil, err
+		f, err := core.NewFlow(e.s.Netlist(arch), cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return e.drive(p, f)
 	})
 }
 

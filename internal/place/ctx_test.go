@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/powerplan"
-	"repro/internal/tech"
 )
 
 // TestPlaceCtxCancelled pins the placement cancellation contract for both
@@ -19,10 +18,7 @@ func TestPlaceCtxCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := powerplan.Plan(fp, tech.Pattern{Front: 12, Back: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp := powerplan.Plan(fp)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := GlobalCtx(ctx, nl, fp, DefaultOptions()); !errors.Is(err, context.Canceled) {

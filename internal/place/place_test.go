@@ -29,10 +29,7 @@ func TestPlaceLegalizesRISCVCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := powerplan.Plan(fp, tech.Pattern{Front: 12, Back: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp := powerplan.Plan(fp)
 	res, err := Place(nl, fp, pp.Blockages, DefaultOptions())
 	if err != nil {
 		t.Fatalf("Place: %v", err)
@@ -49,7 +46,7 @@ func TestPlaceLegalizesRISCVCore(t *testing.T) {
 func TestPlacementQualityBeatsRandom(t *testing.T) {
 	nl := smallDesign(t)
 	fp, _ := floorplan.New(lib.Stack, nl.CellAreaNm2(), 0.65, 1.0)
-	pp, _ := powerplan.Plan(fp, tech.Pattern{Front: 12, Back: 12})
+	pp := powerplan.Plan(fp)
 
 	// Random-only placement: skip attraction by using zero iterations via
 	// Global with 1 iteration then measuring, against the full flow.
@@ -75,7 +72,7 @@ func TestLegalizeRespectsBlockages(t *testing.T) {
 	nl := smallDesign(t)
 	// Very tight floorplan with blockages: every placement must avoid them.
 	fp, _ := floorplan.New(lib.Stack, nl.CellAreaNm2(), 0.80, 1.0)
-	pp, _ := powerplan.Plan(fp, tech.Pattern{Front: 12, Back: 12})
+	pp := powerplan.Plan(fp)
 	if len(pp.Blockages) == 0 {
 		t.Fatal("no blockages generated")
 	}
@@ -91,7 +88,7 @@ func TestLegalizeFailsAboveTapCap(t *testing.T) {
 	nl := smallDesign(t)
 	// 97% utilization with ~12.5% of sites blocked cannot legalize.
 	fp, _ := floorplan.New(lib.Stack, nl.CellAreaNm2(), 0.97, 1.0)
-	pp, _ := powerplan.Plan(fp, tech.Pattern{Front: 12, Back: 12})
+	pp := powerplan.Plan(fp)
 	_, err := Place(nl, fp, pp.Blockages, DefaultOptions())
 	if err == nil {
 		t.Fatal("97% utilization must fail legalization against tap cells")
@@ -102,7 +99,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() int64 {
 		nl := smallDesign(t)
 		fp, _ := floorplan.New(lib.Stack, nl.CellAreaNm2(), 0.7, 1.0)
-		pp, _ := powerplan.Plan(fp, tech.Pattern{Front: 12, Back: 12})
+		pp := powerplan.Plan(fp)
 		res, err := Place(nl, fp, pp.Blockages, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)

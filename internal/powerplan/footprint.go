@@ -18,7 +18,7 @@ func (r *Result) FootprintBytes() int64 {
 	b := int64(unsafe.Sizeof(*r)) + int64(len(r.Reason))
 	b += int64(len(r.Stripes)) * int64(unsafe.Sizeof(Stripe{}))
 	for i := range r.Stripes {
-		b += int64(len(r.Stripes[i].Net) + len(r.Stripes[i].Layer))
+		b += int64(len(r.Stripes[i].Net))
 	}
 	b += int64(len(r.Taps)) * int64(unsafe.Sizeof(TapCell{}))
 	for i := range r.Taps {

@@ -35,12 +35,12 @@ type TapCell struct {
 	Pos  geom.Point // lower-left, on a row
 }
 
-// Stripe is one BSPDN power stripe (vertical, backside).
+// Stripe is one BSPDN power stripe (vertical, backside), drawn on the
+// layer SpecialNets is given.
 type Stripe struct {
 	Net     string // "VDD" or "VSS"
 	X       int64  // centerline
 	WidthNm int64
-	Layer   string
 }
 
 // Result is the power plan.
@@ -70,12 +70,12 @@ func MaxUtilization(arch tech.Arch, stack *tech.Stack) float64 {
 	return (1 - blocked) * 0.97
 }
 
-// Plan builds the BSPDN for the floorplan.
-func Plan(fp *floorplan.Plan, pattern tech.Pattern) (*Result, error) {
+// Plan builds the BSPDN for the floorplan. Stripe positions, tap cells,
+// their row blockages and the utilization feasibility follow from the
+// floorplan and its stack's architecture alone; the metal pattern only
+// names the stripes' layer, which SpecialNets takes.
+func Plan(fp *floorplan.Plan) *Result {
 	st := fp.Stack
-	if err := st.Validate(pattern); err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Arch:      st.Arch,
 		Feasible:  true,
@@ -84,13 +84,12 @@ func Plan(fp *floorplan.Plan, pattern tech.Pattern) (*Result, error) {
 	pitch := st.PowerStripePitchNm() // same-net pitch, 64 CPP
 	half := pitch / 2                // VSS and VDD interleave
 	stripeW := int64(240)            // wide backside stripes
-	topLayer := fmt.Sprintf("BM%d", st.HighestPDNLayer(pattern))
 
 	// Vertical stripes across the core: VSS at k*pitch, VDD offset by half.
 	for x := int64(0); x <= fp.Core.Hi.X; x += pitch {
-		res.Stripes = append(res.Stripes, Stripe{Net: "VSS", X: x, WidthNm: stripeW, Layer: topLayer})
+		res.Stripes = append(res.Stripes, Stripe{Net: "VSS", X: x, WidthNm: stripeW})
 		if x+half <= fp.Core.Hi.X {
-			res.Stripes = append(res.Stripes, Stripe{Net: "VDD", X: x + half, WidthNm: stripeW, Layer: topLayer})
+			res.Stripes = append(res.Stripes, Stripe{Net: "VDD", X: x + half, WidthNm: stripeW})
 		}
 	}
 
@@ -135,16 +134,18 @@ func Plan(fp *floorplan.Plan, pattern tech.Pattern) (*Result, error) {
 			"utilization %.0f%% exceeds %.0f%% cap from Power Tap Cell placement (64 CPP stripe pitch)",
 			fp.Utilization*100, maxU*100)
 	}
-	return res, nil
+	return res
 }
 
-// SpecialNets renders the plan's stripes as DEF special nets.
-func (r *Result) SpecialNets(fp *floorplan.Plan) []*def.SNet {
+// SpecialNets renders the plan's stripes as DEF special nets drawn on
+// layer, the backside layer the metal pattern leaves for the PDN
+// (BM<Stack.HighestPDNLayer>).
+func (r *Result) SpecialNets(fp *floorplan.Plan, layer string) []*def.SNet {
 	vdd := &def.SNet{Name: "VDD", Use: "POWER"}
 	vss := &def.SNet{Name: "VSS", Use: "GROUND"}
 	for _, s := range r.Stripes {
 		w := def.Wire{
-			Layer:   s.Layer,
+			Layer:   layer,
 			WidthNm: s.WidthNm,
 			From:    geom.Pt(s.X, fp.Core.Lo.Y),
 			To:      geom.Pt(s.X, fp.Core.Hi.Y),

@@ -16,11 +16,7 @@ func ffetPlan(t *testing.T, util float64) (*floorplan.Plan, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Plan(fp, tech.Pattern{Front: 12, Back: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fp, res
+	return fp, Plan(fp)
 }
 
 func TestFFETTapsOnVSSStripes(t *testing.T) {
@@ -104,10 +100,7 @@ func TestCFETUsesNTSVs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Plan(fp, tech.Pattern{Front: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Plan(fp)
 	if len(res.Taps) != 0 {
 		t.Error("CFET must not place Power Tap Cells")
 	}
@@ -122,31 +115,9 @@ func TestCFETUsesNTSVs(t *testing.T) {
 	}
 }
 
-func TestPDNLayerFollowsPattern(t *testing.T) {
-	st := tech.NewFFET()
-	fp, _ := floorplan.New(st, 300_000_000, 0.7, 1.0)
-	res, err := Plan(fp, tech.Pattern{Front: 6, Back: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Stripes {
-		if s.Layer != "BM8" {
-			t.Errorf("stripe layer = %s, want BM8 (2 above BM6 signals)", s.Layer)
-		}
-	}
-}
-
-func TestInvalidPatternRejected(t *testing.T) {
-	st := tech.NewCFET()
-	fp, _ := floorplan.New(st, 300_000_000, 0.7, 1.0)
-	if _, err := Plan(fp, tech.Pattern{Front: 12, Back: 12}); err == nil {
-		t.Fatal("CFET with backside signals must be rejected")
-	}
-}
-
 func TestSpecialNetsAndComponents(t *testing.T) {
 	fp, res := ffetPlan(t, 0.7)
-	snets := res.SpecialNets(fp)
+	snets := res.SpecialNets(fp, "BM8")
 	if len(snets) != 2 {
 		t.Fatalf("special nets = %d", len(snets))
 	}
@@ -157,6 +128,9 @@ func TestSpecialNetsAndComponents(t *testing.T) {
 		for _, w := range sn.Wires {
 			if w.From.X != w.To.X {
 				t.Errorf("%s stripe not vertical", sn.Name)
+			}
+			if w.Layer != "BM8" {
+				t.Errorf("%s stripe on %s, want the given BM8", sn.Name, w.Layer)
 			}
 		}
 	}

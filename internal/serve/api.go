@@ -157,7 +157,9 @@ func (r SweepRequest) Specs(suite *exp.Suite, opt Options) ([]exp.Spec, error) {
 }
 
 // MCRequest runs a Monte Carlo overlay-variation study on the flow the
-// base spec describes. Zero option fields take variation.DefaultOptions.
+// base spec describes. An absent (zero) option field takes its
+// variation.DefaultOptions value; every other value is used as given,
+// for Validate to refuse if it must.
 type MCRequest struct {
 	Base    FlowSpec `json:"base"`
 	Samples int      `json:"samples,omitempty"`
@@ -167,11 +169,26 @@ type MCRequest struct {
 	FloorFF float64  `json:"floor_ff,omitempty"`
 }
 
-// Options maps the request onto variation.Options; fields the request
-// leaves zero take the study defaults.
+// Options maps the request onto variation.DefaultOptions, overriding
+// only the fields the request sets (non-zero), as FlowSpec.Config does.
 func (r MCRequest) Options() variation.Options {
-	return variation.Options{Samples: r.Samples, Workers: r.Workers, Seed: r.Seed,
-		SigmaNm: r.SigmaNm, FloorFF: r.FloorFF}
+	o := variation.DefaultOptions()
+	if r.Samples != 0 {
+		o.Samples = r.Samples
+	}
+	if r.Workers != 0 {
+		o.Workers = r.Workers
+	}
+	if r.Seed != 0 {
+		o.Seed = r.Seed
+	}
+	if r.SigmaNm != 0 {
+		o.SigmaNm = r.SigmaNm
+	}
+	if r.FloorFF != 0 {
+		o.FloorFF = r.FloorFF
+	}
+	return o
 }
 
 // Summary is the deterministic result payload of one flow run: the PPA

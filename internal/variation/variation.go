@@ -33,32 +33,36 @@ import (
 	"repro/internal/sta"
 )
 
-// Options configures a study. Zero values pick defaults.
+// Options configures a study. Start from DefaultOptions: every field is
+// used as given, so a zero model parameter means zero (no overlay shift,
+// no parasitic spread, no screening floor) and seed 0 is a seed like any
+// other.
 type Options struct {
-	// Samples is the number of Monte Carlo samples (default 4096).
+	// Samples is the number of Monte Carlo samples, in [1, 1<<22].
 	Samples int
 	// Workers is the number of sampling goroutines, each owning a forked
-	// engine and a private RC scratch view (default, and at most,
-	// GOMAXPROCS).
+	// engine and a private RC scratch view: at least 1, and clamped to
+	// GOMAXPROCS, since summaries are bit-identical for any worker count
+	// and more workers than CPUs only cost memory.
 	Workers int
 	// Seed keys the per-sample PRNG streams: sample i draws from a
 	// splitmix64 stream derived from (Seed, i) alone, so results are
-	// reproducible and independent of scheduling (default 1).
+	// reproducible and independent of scheduling.
 	Seed uint64
-	// SigmaNm is the per-side overlay-shift sigma in nm (default 2).
+	// SigmaNm is the per-side overlay-shift sigma in nm.
 	SigmaNm float64
 	// CapSensPerNm is the relative wire-cap increase per nm of absolute
-	// overlay shift on a side (default 0.02): misalignment tightens the
-	// effective wire-to-wire spacing on that side of the wafer.
+	// overlay shift on a side: misalignment tightens the effective
+	// wire-to-wire spacing on that side of the wafer.
 	CapSensPerNm float64
 	// ParasiticSigma is the sigma of the per-side lognormal parasitic
-	// multiplier stacked on the overlay term (default 0.05).
+	// multiplier stacked on the overlay term.
 	ParasiticSigma float64
 	// FloorFF screens the dirty set: a net is perturbed only when its
 	// side-blended scale actually moves its wire cap by at least this
-	// floor (default 0.40 fF). Nets below the floor keep their base view
-	// bit-identically, which is what holds the per-sample dirty set to
-	// the nets whose perturbation is material.
+	// floor. Nets below the floor keep their base view bit-identically,
+	// which is what holds the per-sample dirty set to the nets whose
+	// perturbation is material; 0 screens nothing out.
 	//
 	// The floor is the study's speed/fidelity dial: lowering it admits
 	// smaller-cap nets into the perturbed set, recovering more of the
@@ -69,7 +73,9 @@ type Options struct {
 	FloorFF float64
 }
 
-// DefaultOptions returns the study defaults.
+// DefaultOptions returns the study defaults: 4096 samples on GOMAXPROCS
+// workers, seed 1, a 2 nm overlay sigma per side, 0.02/nm cap
+// sensitivity, a 0.05 parasitic sigma and a 0.40 fF screening floor.
 func DefaultOptions() Options {
 	return Options{
 		Samples:        4096,
@@ -87,14 +93,15 @@ func DefaultOptions() Options {
 const maxSamples = 1 << 22
 
 // Validate rejects options no study runs with: a sample count outside
-// [0, 1<<22], a negative worker count, or a model parameter that is
-// negative, NaN or infinite. Zero fields are valid; they pick defaults.
+// [1, 1<<22], fewer than one worker, or a model parameter that is
+// negative, NaN or infinite. A zero model parameter is valid and means
+// zero.
 func (o Options) Validate() error {
-	if o.Samples < 0 || o.Samples > maxSamples {
-		return fmt.Errorf("variation: samples %d outside [0, %d]", o.Samples, maxSamples)
+	if o.Samples < 1 || o.Samples > maxSamples {
+		return fmt.Errorf("variation: samples %d outside [1, %d]", o.Samples, maxSamples)
 	}
-	if o.Workers < 0 {
-		return fmt.Errorf("variation: workers %d is negative", o.Workers)
+	if o.Workers < 1 {
+		return fmt.Errorf("variation: workers %d must be at least 1", o.Workers)
 	}
 	for _, p := range []struct {
 		name string
@@ -108,35 +115,6 @@ func (o Options) Validate() error {
 		}
 	}
 	return nil
-}
-
-// withDefaults fills zero fields and clamps Workers to GOMAXPROCS: each
-// worker forks an engine, and summaries are bit-identical for any worker
-// count, so more workers than CPUs only cost memory.
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.Samples == 0 {
-		o.Samples = d.Samples
-	}
-	if o.Workers == 0 || o.Workers > d.Workers {
-		o.Workers = d.Workers
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	if o.SigmaNm == 0 {
-		o.SigmaNm = d.SigmaNm
-	}
-	if o.CapSensPerNm == 0 {
-		o.CapSensPerNm = d.CapSensPerNm
-	}
-	if o.ParasiticSigma == 0 {
-		o.ParasiticSigma = d.ParasiticSigma
-	}
-	if o.FloorFF == 0 {
-		o.FloorFF = d.FloorFF
-	}
-	return o
 }
 
 // Basis is the timing checkpoint a study perturbs around: the analyzed
@@ -239,7 +217,7 @@ func NewSampler(b *Basis, opt Options) (*Sampler, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
+	opt.Workers = min(opt.Workers, runtime.GOMAXPROCS(0))
 	s := &Sampler{opt: opt, basis: b}
 
 	for seq, rc := range b.NetRC {

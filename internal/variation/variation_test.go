@@ -117,8 +117,8 @@ func TestStudyDeterministicAcrossWorkers(t *testing.T) {
 	// shardings below run as written on any machine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	b, _ := testBasis(t, 7)
-	opt := Options{Samples: 257, Seed: 42, FloorFF: 0.1}
-	opt.Workers = 1
+	opt := DefaultOptions()
+	opt.Samples, opt.Workers, opt.Seed, opt.FloorFF = 257, 1, 42, 0.1
 	ref, err := Study(context.Background(), b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,9 @@ func sameScalars(a, b *Summary) bool {
 // between consecutive samples), and a re-forked worker engine mid-chain.
 func TestSampleMatchesFullAnalyze(t *testing.T) {
 	b, nl := testBasis(t, 11)
-	s, err := NewSampler(b, Options{Samples: 64, Workers: 1, Seed: 9, FloorFF: 0.1})
+	opt := DefaultOptions()
+	opt.Samples, opt.Workers, opt.Seed, opt.FloorFF = 64, 1, 9, 0.1
+	s, err := NewSampler(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +235,9 @@ func TestSampleMatchesFullAnalyze(t *testing.T) {
 // BenchmarkSTAReuse's contract).
 func TestAllocsPerRunZero(t *testing.T) {
 	b, _ := testBasis(t, 13)
-	s, err := NewSampler(b, Options{Samples: 512, Workers: 1})
+	opt := DefaultOptions()
+	opt.Samples, opt.Workers = 512, 1
+	s, err := NewSampler(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,46 +267,90 @@ func TestStudyCancellation(t *testing.T) {
 	b, _ := testBasis(t, 17)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Study(ctx, b, Options{Samples: 128, Workers: 2}); err == nil {
+	opt := DefaultOptions()
+	opt.Samples, opt.Workers = 128, 2
+	if _, err := Study(ctx, b, opt); err == nil {
 		t.Fatal("cancelled study returned nil error")
 	}
 }
 
-// TestOptionsValidate: out-of-range sample counts, negative workers and
-// negative or non-finite model parameters are rejected, by Validate and
-// by NewSampler; zero fields stay valid defaults, and an oversized worker
-// count is clamped to GOMAXPROCS instead.
+// TestOptionsValidate: out-of-range sample counts, fewer than one worker
+// and negative or non-finite model parameters are rejected, by Validate
+// and by NewSampler; a zero model parameter or seed is valid, and an
+// oversized worker count is clamped to GOMAXPROCS instead.
 func TestOptionsValidate(t *testing.T) {
+	with := func(mutate func(*Options)) Options {
+		o := DefaultOptions()
+		mutate(&o)
+		return o
+	}
 	bad := []Options{
-		{Samples: maxSamples + 1},
-		{Samples: -5},
-		{Workers: -1},
-		{SigmaNm: -1},
-		{SigmaNm: math.NaN()},
-		{CapSensPerNm: math.Inf(1)},
-		{ParasiticSigma: -0.05},
-		{FloorFF: math.Inf(-1)},
+		with(func(o *Options) { o.Samples = maxSamples + 1 }),
+		with(func(o *Options) { o.Samples = 0 }),
+		with(func(o *Options) { o.Samples = -5 }),
+		with(func(o *Options) { o.Workers = 0 }),
+		with(func(o *Options) { o.Workers = -1 }),
+		with(func(o *Options) { o.SigmaNm = -1 }),
+		with(func(o *Options) { o.SigmaNm = math.NaN() }),
+		with(func(o *Options) { o.CapSensPerNm = math.Inf(1) }),
+		with(func(o *Options) { o.ParasiticSigma = -0.05 }),
+		with(func(o *Options) { o.FloorFF = math.Inf(-1) }),
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {
 			t.Errorf("%+v: Validate accepted it", o)
 		}
 	}
-	for _, o := range []Options{{}, {Samples: maxSamples}, DefaultOptions()} {
+	good := []Options{
+		DefaultOptions(),
+		with(func(o *Options) { o.Samples = maxSamples }),
+		with(func(o *Options) { o.Seed, o.SigmaNm, o.CapSensPerNm, o.ParasiticSigma, o.FloorFF = 0, 0, 0, 0, 0 }),
+	}
+	for _, o := range good {
 		if err := o.Validate(); err != nil {
 			t.Errorf("%+v: %v", o, err)
 		}
 	}
 	b, _ := testBasis(t, 19)
-	if _, err := NewSampler(b, Options{Samples: -5}); err == nil {
+	if _, err := NewSampler(b, with(func(o *Options) { o.Samples = -5 })); err == nil {
 		t.Error("NewSampler accepted a negative sample count")
 	}
-	s, err := NewSampler(b, Options{Samples: 64, Workers: 1000})
+	s, err := NewSampler(b, with(func(o *Options) { o.Samples, o.Workers = 64, 1000 }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := runtime.GOMAXPROCS(0); len(s.workers) != min(n, 64) {
 		t.Errorf("%d workers, want GOMAXPROCS %d", len(s.workers), n)
+	}
+}
+
+// TestZeroSpreadKeepsBase: a zero overlay sigma and a zero parasitic
+// sigma mean no perturbation, not the defaults, so every sample re-times
+// to the basis's own WNS and TNS, where the default sigmas move them.
+func TestZeroSpreadKeepsBase(t *testing.T) {
+	b, _ := testBasis(t, 7)
+	wantW, wantT := b.Engine.SlackStats(b.PeriodPs)
+	opt := DefaultOptions()
+	opt.Samples, opt.Seed, opt.FloorFF = 64, 42, 0.1
+	moved := func() int {
+		sum, err := Study(context.Background(), b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for i := range sum.WNSPs {
+			if sum.WNSPs[i] != wantW || sum.TNSPs[i] != wantT {
+				n++
+			}
+		}
+		return n
+	}
+	if moved() == 0 {
+		t.Fatal("degenerate basis: the default sigmas move no sample")
+	}
+	opt.SigmaNm, opt.ParasiticSigma = 0, 0
+	if n := moved(); n != 0 {
+		t.Errorf("%d of %d samples moved off the base with zero sigmas", n, opt.Samples)
 	}
 }
 
