@@ -43,9 +43,9 @@ func main() {
 	oneshot := flag.String("oneshot", "", "run the request JSON in FILE offline and print the response body")
 	flag.Parse()
 
-	scale := exp.Quick
-	if *scaleFlag == "full" {
-		scale = exp.Full
+	scale, err := exp.ParseScale(*scaleFlag)
+	if err != nil {
+		cliutil.Fail("ffetd", err)
 	}
 	opt := serve.Options{
 		Scale:      scale,

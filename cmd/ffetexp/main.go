@@ -10,6 +10,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,10 +24,23 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. fig09,table3)")
 	flag.Parse()
 
-	scale := exp.Quick
-	if *scaleFlag == "full" {
-		scale = exp.Full
+	scale, err := exp.ParseScale(*scaleFlag)
+	if err != nil {
+		cliutil.Fail("ffetexp", err)
 	}
+	ids := exp.ExperimentIDs()
+	want := map[string]bool{}
+	for _, id := range strings.Split(*only, ",") {
+		if id == "" {
+			continue
+		}
+		if !slices.Contains(ids, id) {
+			cliutil.Fail("ffetexp", fmt.Errorf("unknown experiment id %q (want %s)", id, strings.Join(ids, ", ")))
+		}
+		want[id] = true
+	}
+	sel := func(id string) bool { return len(want) == 0 || want[id] }
+
 	suite, err := exp.NewSuite(scale)
 	if err != nil {
 		log.Fatal(err)
@@ -37,19 +51,12 @@ func main() {
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
 	suite.Ctx = ctx
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id != "" {
-			want[id] = true
-		}
-	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
 
 	// One failed sweep point doesn't kill the report: its table prints
 	// with error cells, the failure goes to stderr, and later experiments
 	// still run. Only a cancellation stops the whole job list.
 	failed := false
-	for _, id := range exp.ExperimentIDs() {
+	for _, id := range ids {
 		if !sel(id) {
 			continue
 		}

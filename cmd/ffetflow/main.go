@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	arch := flag.String("arch", "ffet", "ffet or cfet")
+	archFlag := flag.String("arch", "ffet", "ffet or cfet (any case)")
 	front := flag.Int("fm", 12, "frontside routing layers")
 	back := flag.Int("bm", 0, "backside routing layers")
 	target := flag.Float64("target", 1.5, "synthesis target frequency (GHz)")
@@ -32,10 +32,11 @@ func main() {
 	defDir := flag.String("def", "", "write <design>_{front,back,merged}.def here after the run")
 	flag.Parse()
 
-	st := tech.NewFFET()
-	if *arch == "cfet" {
-		st = tech.NewCFET()
+	arch, err := tech.ParseArch(*archFlag)
+	if err != nil {
+		cliutil.Fail("ffetflow", err)
 	}
+	st := tech.New(arch)
 	lib := cell.NewLibrary(st)
 	nl, _, err := riscv.Generate(lib, riscv.Config{Name: "rv32", Registers: *regs})
 	if err != nil {

@@ -166,9 +166,12 @@ type FlowResult struct {
 	// StageTimes records the wall-clock spent in each pipeline stage,
 	// indexed by Stage. Forked sessions inherit the entries of the
 	// stages they reuse from their parent (the prefix was computed once;
-	// its cost is attributed to every run built on it). Deliberately
-	// excluded from golden artifacts — it is the one nondeterministic
-	// field here.
+	// its cost is attributed to every run built on it). A synth-diff
+	// fork that took its parent's placement ran no StagePlace, so that
+	// entry is 0; the copy of the netlist its positions are stamped on
+	// is timed in StageCTS, as on every fork resuming there.
+	// Deliberately excluded from golden artifacts — it is the one
+	// nondeterministic field here.
 	StageTimes [NumStages]time.Duration
 
 	// Artifacts. The routed layout is not among them: Flow.DEF renders
@@ -190,8 +193,9 @@ func (r *FlowResult) DRVs() int { return r.DRVsFront + r.DRVsBack }
 // none.
 //
 // It is a thin facade over the staged pipeline: NewFlow(nl, cfg).Run()
-// with checkpointing disabled (a one-shot run forks nothing, so it skips
-// the stage-boundary netlist snapshots a Flow session keeps).
+// with checkpointing disabled (a one-shot run forks nothing, so it keeps
+// neither the synthesis netlist nor the placement positions a Flow
+// session keeps, and copies no netlist).
 //
 // Invalid runs (tap-cell placement violations or DRVs >= MaxDRVs) return a
 // FlowResult with Valid=false rather than an error; errors indicate

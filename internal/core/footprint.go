@@ -5,33 +5,35 @@ import (
 
 	"repro/internal/extract"
 	"repro/internal/floorplan"
+	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/route"
 )
 
 // FootprintBytes estimates the bytes of heap state this session retains
-// as its checkpoint: the working netlist and its stage-boundary
-// snapshots, the floorplan/powerplan/CTS/partition/routing/extraction
-// artifacts, the timing engine, and the result.
+// as its checkpoint: the working netlist, the synthesis checkpoint when
+// the session has copied it, the global placement positions, the
+// floorplan/powerplan/CTS/partition/routing/extraction artifacts, the
+// timing engine, and the result.
 //
 // The estimate is an accounting sum for cache budgeting (allocator slack
 // and map overhead approximated), deterministic for a quiescent session.
 // It must only be called on a session with no RunToCtx in flight — the
 // stage bodies write these slots outside the session lock, so measuring a
 // running session would race. State a forked child shares with its parent
-// (snapshots, engine graph tables) is charged to both: a cache
-// holding root and prefix double-counts the shared snapshot, which errs
-// on the safe side of a byte budget.
+// (the synthesis checkpoint, positions, engine graph tables) is charged
+// to both: a cache holding root and prefix double-counts the shared
+// synthesis netlist, which errs on the safe side of a byte budget.
 func (f *Flow) FootprintBytes() int64 {
 	b := int64(unsafe.Sizeof(*f))
 
-	// Netlists: work, synthSnap and placeSnap, each charged in full. Each
-	// snapshot is a deep copy taken at its stage boundary, so the three
-	// are always distinct objects (a fork resuming after CTS shares its
-	// parent's work, and every fork its parent's snapshots, as above).
+	// Netlists: work, and synthSnap once own has replaced work with the
+	// session's copy (before that, the two are one object).
 	b += f.work.FootprintBytes()
-	b += f.synthSnap.FootprintBytes()
-	b += f.placeSnap.FootprintBytes()
+	if f.synthSnap != f.work {
+		b += f.synthSnap.FootprintBytes()
+	}
+	b += int64(len(f.placed)) * int64(unsafe.Sizeof(geom.Point{}))
 
 	if f.fp != nil {
 		b += int64(unsafe.Sizeof(*f.fp))

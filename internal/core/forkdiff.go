@@ -7,12 +7,14 @@
 // a pure function of inputs both runs share. ForkSynthDiff runs the
 // child's own synthesis, checks the resize-only correspondence with
 // netlist.Diff (a guard: a target change alone has not been seen to
-// break it) and, when the floorplans coincide, re-stamps the parent's
-// global placement instead of re-placing; the child then runs CTS onward
-// in full. A hop therefore falls back in practice only when the cell
-// area moved the floorplan. Every gate failure falls back to the normal
-// stage bodies, so a diff fork is bit-identical to a from-scratch fork
-// by construction — core.TestSynthDiffForkMatchesScratch holds both
+// break it) and, when the floorplans coincide, hands the child the
+// parent's global placement instead of re-placing: the child resumes at
+// StageCTS like any fork of a session stopped after StagePlace, stamping
+// the positions onto its copy of its synthesis netlist, and runs CTS
+// onward in full. A hop therefore falls back in practice only when the
+// cell area moved the floorplan. Every gate failure falls back to the
+// normal stage bodies, so a diff fork is bit-identical to a from-scratch
+// fork by construction — core.TestSynthDiffForkMatchesScratch holds both
 // paths to the same artifacts byte for byte.
 package core
 
@@ -20,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/floorplan"
@@ -29,7 +30,7 @@ import (
 
 // SynthDiffStats reports which path one synth-diff fork took.
 type SynthDiffStats struct {
-	// DiffPath is set when the fork re-stamped the parent's global
+	// DiffPath is set when the fork took the parent's global
 	// placement; Fallback then stays empty. When a gate failed, DiffPath
 	// is false and Fallback says why — the returned child is still a
 	// healthy session that simply runs the full pipeline.
@@ -48,9 +49,12 @@ func (f *Flow) ForkSynthDiff(mutate func(*FlowConfig)) (*Flow, *SynthDiffStats, 
 // ForkSynthDiffCtx forks the session under a mutated config whose delta
 // re-runs synthesis (a frequency re-target), runs the child's synthesis,
 // floorplan and powerplan, and — when the child's netlist is a pure
-// resize of the parent's and the floorplans coincide — re-stamps the
-// parent's global placement instead of re-placing, leaving the child
-// positioned at StageCTS. Callers then Run the child normally.
+// resize of the parent's and the floorplans coincide — hands the child
+// the parent's global placement instead of re-placing, leaving the child
+// positioned at StageCTS, the one path every fork resuming there takes:
+// its StageCTS stamps the positions onto its copy of the netlist, so the
+// stamp is timed there and the child's StagePlace time stays 0. Callers
+// then Run the child normally.
 //
 // The returned stats say which path was taken. On any gate failure the
 // child is still returned, healthy, and simply continues as a full
@@ -73,7 +77,7 @@ func (f *Flow) ForkSynthDiffCtx(ctx context.Context, mutate func(*FlowConfig)) (
 
 	f.mu.Lock()
 	ready := f.err == nil && !f.running && !f.halted && f.res.Reason == "" &&
-		int(f.next) == NumStages && f.synthSnap != nil && f.placeSnap != nil
+		int(f.next) == NumStages
 	f.mu.Unlock()
 	if !ready {
 		return fallback("parent is not a completed valid checkpoint")
@@ -109,22 +113,12 @@ func (f *Flow) ForkSynthDiffCtx(ctx context.Context, mutate func(*FlowConfig)) (
 		return fallback(fmt.Sprintf("fault injected: %v", err))
 	}
 
-	// Re-stamp the parent's global placement: over a resize-only
+	// Hand over the parent's global placement: over a resize-only
 	// correspondence and an identical floorplan, the child's own
 	// StagePlace would reproduce these exact positions.
-	t0 := time.Now()
-	for i, inst := range f.placeSnap.Instances {
-		child.work.Instances[i].Pos = inst.Pos
-	}
-	for i, p := range f.placeSnap.Ports {
-		child.work.Ports[i].Pos = p.Pos
-	}
-	child.placeSnap = child.work.Snapshot()
-	child.res.StageTimes[StagePlace] = time.Since(t0)
-
 	child.mu.Lock()
+	child.placed = f.placed
 	child.next = StageCTS
-	child.epoch++
 	child.mu.Unlock()
 	st.DiffPath = true
 	return child, st, nil

@@ -110,43 +110,42 @@ func firstAffectedStage(old, new FlowConfig) Stage {
 // Fork clones the session at the deepest stage unaffected by the config
 // delta, so a parameter sweep re-runs only the divergent suffix. Stage
 // outputs are immutable once produced and shared between parent and
-// children; the netlist — which placement and CTS mutate in place — is
-// checkpointed at the two mutation boundaries (post-synth and
-// post-global-placement) and forked children get their own Snapshot; a
-// child resuming at StageCTS legalizes and refines its snapshot of the
-// post-global-placement netlist exactly as a from-scratch run does.
-// Forked runs are bit-identical to from-scratch runs of the same config.
+// children, and so is the synthesis netlist, which is the synthesis
+// checkpoint itself: a Fork copies pointers only. Placement and CTS
+// mutate the netlist in place, so a session copies it once, just before
+// the first of them runs (own), and keeps its global placement as
+// positions; a child resuming at StageCTS stamps its parent's positions
+// onto that copy and legalizes and refines it exactly as a from-scratch
+// run does. Forked runs are bit-identical to from-scratch runs of the
+// same config.
 //
-// Independent forked sessions may run concurrently: from StagePartition
-// on, every stage only reads the shared netlist. A single session is
-// guarded against concurrent misuse rather than serialized: overlapping
-// RunTo calls, or a Fork while the parent is mid-RunTo, fail fast with
-// ErrForkRace instead of corrupting checkpoint state.
+// Independent forked sessions may run concurrently: no stage writes the
+// synthesis checkpoint, and from StagePartition on every stage only reads
+// the shared netlist. A single session is guarded against concurrent
+// misuse rather than serialized: overlapping RunTo calls, or a Fork while
+// the parent is mid-RunTo, fail fast with ErrForkRace instead of
+// corrupting checkpoint state.
 type Flow struct {
 	cfg   FlowConfig
 	input *netlist.Netlist
 	lib   *cell.Library
 	st    *tech.Stack
-	// keepSnaps enables the stage-boundary netlist checkpoints Fork
-	// needs. Off for one-shot RunFlow calls, which fork nothing.
+	// keepSnaps keeps the checkpoints Fork needs: the synthesis netlist
+	// and the global placement. Off for one-shot RunFlow calls, which
+	// fork nothing.
 	keepSnaps bool
 
 	// mu guards the session bookkeeping below (next, halted, err,
-	// running, epoch). The long stage bodies execute outside the lock
-	// under the running flag's exclusive ownership; Fork copies
-	// checkpoint state under the lock and fails fast when it cannot.
+	// running). The long stage bodies execute outside the lock under the
+	// running flag's exclusive ownership; Fork copies checkpoint pointers
+	// under the lock and fails fast when it cannot.
 	mu sync.Mutex
 	// running marks a RunToCtx in flight. A second RunTo, or a Fork,
 	// arriving while it is set returns ErrForkRace.
 	running bool
-	// epoch counts observable state transitions (stage completions,
-	// halts, hard errors). Fork records it before the expensive
-	// netlist snapshot it takes outside the lock and fails with
-	// ErrForkRace if the parent advanced mid-copy.
-	epoch uint64
-	// runCtx is the context of the RunToCtx in flight; stage bodies
-	// thread it into the cancellable inner loops. Only touched by the
-	// running goroutine.
+	// runCtx is the context of the RunToCtx in flight, set for the whole
+	// of it; stage bodies thread it into the cancellable inner loops.
+	// Only touched by the running goroutine.
 	runCtx context.Context
 
 	next        Stage // first stage not yet executed
@@ -157,11 +156,11 @@ type Flow struct {
 	res *FlowResult
 
 	// Intermediate state, each slot owned by exactly one stage and
-	// immutable afterwards (the netlist is the exception; see the
-	// checkpoints).
-	work      *netlist.Netlist // the working netlist (synth output, mutated through CTS)
-	synthSnap *netlist.Netlist // checkpoint: post-synth, before placement mutates positions
-	placeSnap *netlist.Netlist // checkpoint: post-global-placement, before CTS mutates structure
+	// immutable afterwards (work is the exception: own replaces it with
+	// the copy placement and CTS mutate).
+	work      *netlist.Netlist // the working netlist: synthSnap until own, then the session's copy
+	synthSnap *netlist.Netlist // checkpoint: the synthesis output, never written
+	placed    []geom.Point     // checkpoint: global placement, instances then ports
 	fp        *floorplan.Plan
 	pp        *powerplan.Result
 	ctsRes    *cts.Result
@@ -235,9 +234,10 @@ func (f *Flow) Err() error {
 	return f.err
 }
 
-// Workspace exposes the working netlist after StageSynth (nil before):
-// positions after StagePlace, clock buffers after StageCTS. Callers must
-// not mutate it.
+// Workspace exposes the working netlist after StageSynth (nil before).
+// Until placement it is the shared synthesis checkpoint, which forks of
+// the session read too; it carries positions after StagePlace and clock
+// buffers after StageCTS. Callers must not mutate it.
 func (f *Flow) Workspace() *netlist.Netlist { return f.work }
 
 // Floorplan exposes the plan after StageFloorplan (nil before).
@@ -368,7 +368,6 @@ func (f *Flow) RunToCtx(ctx context.Context, target Stage) error {
 		f.res.StageTimes[s] = time.Since(t0)
 		f.mu.Lock()
 		f.next = s + 1
-		f.epoch++
 		f.mu.Unlock()
 	}
 	return nil
@@ -394,7 +393,6 @@ func (f *Flow) runStage(s Stage) (err error) {
 func (f *Flow) kill(err error) error {
 	f.mu.Lock()
 	f.err = err
-	f.epoch++
 	f.mu.Unlock()
 	return err
 }
@@ -440,25 +438,17 @@ func (f *Flow) halt(s Stage, reason string) {
 	f.res.Reason = reason
 	f.reasonStage = s
 	f.halted = true
-	f.epoch++
 	f.mu.Unlock()
-}
-
-// stageCtx returns the context of the RunToCtx in flight (Background for
-// stage bodies invoked outside a run, which cannot happen today).
-func (f *Flow) stageCtx() context.Context {
-	if f.runCtx != nil {
-		return f.runCtx
-	}
-	return context.Background()
 }
 
 // Fork clones the session under a mutated config, resuming at the
 // deepest stage unaffected by the config delta: every stage before the
 // resume point is inherited from the parent instead of re-running. The
 // parent is left untouched and can keep running or fork again; the child
-// is independent (mutable state is snapshotted, immutable stage outputs
-// are shared). Fork(nil) clones at the parent's current stage.
+// is independent. Fork copies no netlist: the child shares the parent's
+// immutable stage outputs and checkpoints, and takes its own copy of the
+// synthesis netlist only when it runs placement or CTS. Fork(nil) clones
+// at the parent's current stage.
 //
 // Forking never executes stages: if the parent has not yet reached the
 // divergence stage, the child simply resumes wherever the parent
@@ -467,49 +457,32 @@ func (f *Flow) stageCtx() context.Context {
 // maximize reuse. No config delta first reaches StagePowerplan,
 // StageCTS, StageExtract, StageSTA or StagePower, so a child resumes at
 // one of them only when its parent stopped there; one resuming at
-// StageCTS (a parent stopped after StagePlace) re-runs the clock tree,
-// legalization and refinement in full on its own snapshot of the
-// parent's global placement.
+// StageCTS (a parent stopped after StagePlace) stamps the parent's
+// global placement onto its copy of the synthesis netlist and re-runs
+// the clock tree, legalization and refinement in full.
 //
 // Fork is safe under arbitrary concurrency: forking a parent that is
 // mid-RunTo fails fast with ErrForkRace (no partial checkpoint is ever
-// shared), as does a fork that observes the parent advancing while the
-// child's netlist snapshot was being taken. Concurrent forks off a
-// quiescent parent serialize on the session lock; the expensive deep
-// snapshot happens outside it.
+// shared). Concurrent forks off a quiescent parent serialize on the
+// session lock, which they hold only to copy pointers.
 func (f *Flow) Fork(mutate func(*FlowConfig)) (*Flow, error) {
-	f.mu.Lock()
-	if f.err != nil {
-		defer f.mu.Unlock()
-		return nil, f.deadErrLocked()
-	}
-	if f.running {
-		defer f.mu.Unlock()
-		return nil, &FlowError{Kind: ErrForkRace, Stage: f.next, Config: f.cfg.Name,
-			Err: errors.New("fork off a parent mid-RunTo")}
-	}
-	epoch := f.epoch
 	cfg := f.cfg
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil {
+		return nil, f.deadErrLocked()
+	}
+	if f.running {
+		return nil, &FlowError{Kind: ErrForkRace, Stage: f.next, Config: f.cfg.Name,
+			Err: errors.New("fork off a parent mid-RunTo")}
+	}
 	if err := cfg.Validate(f.st); err != nil {
-		f.mu.Unlock()
 		return nil, err
 	}
-	resume := firstAffectedStage(f.cfg, cfg)
-	if resume > f.next {
-		resume = f.next
-	}
-	// Resuming between floorplan and CTS needs a checkpoint of the
-	// netlist as it stood at that boundary; without one (one-shot
-	// sessions don't keep them) fall back to a full re-run.
-	if resume > StageSynth && resume <= StagePlace && f.synthSnap == nil {
-		resume = StageSynth
-	}
-	if resume == StageCTS && f.placeSnap == nil {
-		resume = StageSynth
-	}
+	resume := min(firstAffectedStage(f.cfg, cfg), f.next)
 
 	child := &Flow{
 		cfg:       cfg,
@@ -529,33 +502,13 @@ func (f *Flow) Fork(mutate func(*FlowConfig)) (*Flow, error) {
 		child.halted = f.halted
 	}
 
-	// Inherit stage outputs below the resume point. All are immutable
-	// once produced except the netlist, which later stages mutate up
-	// through StageCTS: a child that re-runs any mutating stage gets its
-	// own Snapshot of the matching checkpoint; from StagePartition on,
-	// the final netlist is shared read-only. A child that inherited a
-	// halt will never execute a stage, so it skips the deep copies (the
-	// checkpoint pointers still carry over for its own forks). The deep
-	// Snapshot is deferred to after the session lock is released — the
-	// checkpoints are immutable once recorded, so only the pointer reads
-	// need the lock.
-	var snapSrc *netlist.Netlist
+	// Inherit stage outputs below the resume point, all immutable once
+	// produced. A child that re-runs placement or CTS starts on the
+	// shared synthesis checkpoint and copies it in own; from
+	// StagePartition on, the final netlist is shared read-only.
 	if resume > StageSynth {
 		child.synthSnap = f.synthSnap
-		switch {
-		case resume <= StagePlace:
-			if !child.halted {
-				snapSrc = f.synthSnap
-			}
-		case resume == StageCTS:
-			child.placeSnap = f.placeSnap
-			if !child.halted {
-				snapSrc = f.placeSnap
-			}
-		default:
-			child.placeSnap = f.placeSnap
-			child.work = f.work
-		}
+		child.work = f.synthSnap
 	}
 	if resume > StageFloorplan {
 		child.fp = f.fp
@@ -563,7 +516,11 @@ func (f *Flow) Fork(mutate func(*FlowConfig)) (*Flow, error) {
 	if resume > StagePowerplan {
 		child.pp = f.pp
 	}
+	if resume > StagePlace {
+		child.placed = f.placed
+	}
 	if resume > StageCTS {
+		child.work = f.work
 		child.ctsRes = f.ctsRes
 	}
 	if resume > StagePartition {
@@ -580,23 +537,30 @@ func (f *Flow) Fork(mutate func(*FlowConfig)) (*Flow, error) {
 	if resume > StageSTA {
 		child.staEng = f.staEng
 	}
-	f.mu.Unlock()
-
-	if snapSrc != nil {
-		child.work = snapSrc.Snapshot()
-	}
-
-	// Epoch recheck: if the parent ran, halted, or died while the deep
-	// snapshot was being taken, the prefix this child copied may mix two
-	// generations of parent state — fail fast rather than hand it out.
-	f.mu.Lock()
-	raced := f.epoch != epoch
-	f.mu.Unlock()
-	if raced {
-		return nil, &FlowError{Kind: ErrForkRace, Stage: resume, Config: cfg.Name,
-			Err: errors.New("parent advanced while fork was copying checkpoint state")}
-	}
 	return child, nil
+}
+
+// own gives the session its one copy of the netlist, just before the
+// first stage that mutates it (StagePlace and StageCTS call it first):
+// while work is still the shared synthesis checkpoint, it becomes a
+// Snapshot of it, with the inherited global placement stamped on when
+// the session resumes past StagePlace. A session that keeps no
+// checkpoints works on its synthesis output from the start.
+func (f *Flow) own() {
+	if f.work != f.synthSnap {
+		return
+	}
+	f.work = f.synthSnap.Snapshot()
+	if f.placed == nil {
+		return
+	}
+	for i, inst := range f.work.Instances {
+		inst.Pos = f.placed[i]
+	}
+	ports := f.placed[len(f.work.Instances):]
+	for i, p := range f.work.Ports {
+		p.Pos = ports[i]
+	}
 }
 
 // copyResultPrefix copies into dst the FlowResult fields owned by stages
@@ -661,7 +625,7 @@ func (f *Flow) stageSynth() error {
 	f.work = syn.Netlist
 	f.res.SynthBuffers = syn.BuffersAdded
 	if f.keepSnaps {
-		f.synthSnap = f.work.Snapshot()
+		f.synthSnap = f.work
 	}
 	return nil
 }
@@ -695,15 +659,23 @@ func (f *Flow) stagePowerplan() error {
 	return nil
 }
 
-// stagePlace runs global placement (and IO port placement).
+// stagePlace runs global placement (and IO port placement) on the
+// session's own copy of the netlist.
 func (f *Flow) stagePlace() error {
+	f.own()
 	popt := place.DefaultOptions()
 	popt.Seed = f.cfg.Seed
-	if err := place.GlobalCtx(f.stageCtx(), f.work, f.fp, popt); err != nil {
+	if err := place.GlobalCtx(f.runCtx, f.work, f.fp, popt); err != nil {
 		return err
 	}
 	if f.keepSnaps {
-		f.placeSnap = f.work.Snapshot()
+		f.placed = make([]geom.Point, 0, len(f.work.Instances)+len(f.work.Ports))
+		for _, inst := range f.work.Instances {
+			f.placed = append(f.placed, inst.Pos)
+		}
+		for _, p := range f.work.Ports {
+			f.placed = append(f.placed, p.Pos)
+		}
 	}
 	return nil
 }
@@ -712,6 +684,7 @@ func (f *Flow) stagePlace() error {
 // placement (CTS buffers included); a legalization failure halts the run
 // as invalid.
 func (f *Flow) stageCTS() error {
+	f.own()
 	ctsRes, err := cts.Run(f.work, f.fp, cts.DefaultOptions())
 	if err != nil {
 		return err
@@ -725,7 +698,7 @@ func (f *Flow) stageCTS() error {
 		f.halt(StageCTS, fmt.Sprintf("placement violation: %v", err))
 		return nil
 	}
-	if err := place.RefineCtx(f.stageCtx(), f.work, f.fp, f.pp.Blockages, 3); err != nil {
+	if err := place.RefineCtx(f.runCtx, f.work, f.fp, f.pp.Blockages, 3); err != nil {
 		return err
 	}
 	f.res.HPWLUm = float64(place.HPWL(f.work, f.fp)) / 1000
@@ -773,7 +746,6 @@ func (f *Flow) stageRoute() error {
 		frontErr, backErr error
 		wg                sync.WaitGroup
 	)
-	ctx := f.stageCtx()
 	runSide := func(side tech.Side, nets []*route.Net, out **route.Result, errOut *error) {
 		defer wg.Done()
 		layers := f.st.SideRoutingLayers(f.cfg.Pattern, side)
@@ -782,7 +754,7 @@ func (f *Flow) stageRoute() error {
 			*errOut = err
 			return
 		}
-		*out, *errOut = r.RunCtx(ctx, nets)
+		*out, *errOut = r.RunCtx(f.runCtx, nets)
 	}
 	if len(f.sides.Front) > 0 {
 		wg.Add(1)
@@ -868,7 +840,7 @@ func (f *Flow) stageSTA() error {
 	// reusable storage.
 	staRes := &sta.Result{}
 	in := sta.Input{NetRC: f.netRC, ClockArrivalPs: f.ctsRes.ArrivalPs}
-	if err := eng.AnalyzeIntoCtx(f.stageCtx(), staRes, in, sta.DefaultOptions()); err != nil {
+	if err := eng.AnalyzeIntoCtx(f.runCtx, staRes, in, sta.DefaultOptions()); err != nil {
 		return err
 	}
 	f.staEng = eng

@@ -34,8 +34,8 @@ func TestFlowRunToMatchesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewFlow: %v", err)
 			}
-			// Resume in chunks across the two netlist-mutation
-			// checkpoints and the analysis tail.
+			// Resume in chunks across the two netlist-mutating stages
+			// and the analysis tail.
 			for _, stop := range []Stage{StagePowerplan, StageCTS, StageRoute, StagePower} {
 				if err := f.RunTo(stop); err != nil {
 					t.Fatalf("RunTo(%v): %v", stop, err)
@@ -104,8 +104,8 @@ var forkCases = []forkCase{
 	{"util", func(c *FlowConfig) { c.Utilization = 0.68 }, StageFloorplan, false},
 	{"pattern", func(c *FlowConfig) { c.Pattern = tech.Pattern{Front: 8, Back: 4} }, StagePartition, false},
 	{"seed", func(c *FlowConfig) { c.Seed = 7 }, StagePlace, false},
-	// Resuming at StageCTS is the one fork path that consumes the
-	// post-global-placement checkpoint (placeSnap.Snapshot).
+	// Resuming at StageCTS is the one fork path that stamps the
+	// parent's global-placement positions onto its netlist copy.
 	{"cts", rename, StageCTS, true},
 	{"target", func(c *FlowConfig) { c.TargetFreqGHz = 2.0 }, StageSynth, false},
 	{"maxdrvs", func(c *FlowConfig) { c.MaxDRVs = 1 }, StageRoute, false},

@@ -48,6 +48,17 @@ const (
 	Full
 )
 
+// ParseScale returns the scale a name stands for: "quick" or "full".
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return Quick, nil
+	case "full":
+		return Full, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want quick or full)", name)
+}
+
 // Table is a printable experiment result.
 type Table struct {
 	ID     string // e.g. "fig09"

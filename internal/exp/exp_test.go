@@ -583,3 +583,16 @@ func TestVariationMCTable(t *testing.T) {
 		}
 	}
 }
+
+func TestParseScale(t *testing.T) {
+	for name, want := range map[string]Scale{"quick": Quick, "full": Full} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "ful", "Full"} {
+		if _, err := ParseScale(name); err == nil {
+			t.Errorf("ParseScale(%q) accepted an unknown scale", name)
+		}
+	}
+}

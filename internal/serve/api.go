@@ -16,7 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -51,14 +51,12 @@ type FlowSpec struct {
 // checks the resulting config, so a negative aspect or DRV budget is
 // refused there, not replaced.
 func (sp FlowSpec) Config() (tech.Arch, core.FlowConfig, error) {
-	var arch tech.Arch
-	switch strings.ToUpper(sp.Arch) {
-	case "", "FFET":
-		arch = tech.FFET
-	case "CFET":
-		arch = tech.CFET
-	default:
-		return 0, core.FlowConfig{}, fmt.Errorf("serve: unknown arch %q (want FFET or CFET)", sp.Arch)
+	arch := tech.FFET
+	if sp.Arch != "" {
+		var err error
+		if arch, err = tech.ParseArch(sp.Arch); err != nil {
+			return 0, core.FlowConfig{}, fmt.Errorf("serve: %w", err)
+		}
 	}
 	if sp.Front <= 0 {
 		return 0, core.FlowConfig{}, fmt.Errorf("serve: front metal count must be > 0")
@@ -104,7 +102,10 @@ type SweepRequest struct {
 	Values []float64 `json:"values"`
 }
 
-// Points expands the sweep into one spec per value.
+// Points expands the sweep into one spec per value. It refuses a value
+// the wire form would silently change: a seed that is no whole int64,
+// and 0 on the seed or aspect axis, where 0 is the absent value and runs
+// as the default.
 func (r SweepRequest) Points() ([]FlowSpec, error) {
 	if len(r.Values) == 0 {
 		return nil, fmt.Errorf("serve: sweep needs at least one value")
@@ -120,8 +121,17 @@ func (r SweepRequest) Points() ([]FlowSpec, error) {
 		case "target_ghz":
 			sp.TargetGHz = v
 		case "aspect":
+			if v == 0 {
+				return nil, fmt.Errorf("serve: aspect value 0 is the absent value, which runs as the default")
+			}
 			sp.Aspect = v
 		case "seed":
+			if v == 0 {
+				return nil, fmt.Errorf("serve: seed value 0 is the absent value, which runs as the default")
+			}
+			if v != math.Trunc(v) || v < math.MinInt64 || v >= math.MaxInt64 {
+				return nil, fmt.Errorf("serve: seed value %v is not a whole int64", v)
+			}
 			sp.Seed = int64(v)
 		default:
 			return nil, fmt.Errorf("serve: unknown sweep axis %q", r.Axis)

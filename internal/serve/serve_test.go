@@ -676,6 +676,12 @@ func TestInvalidRequests(t *testing.T) {
 		{"/v1/flow", `{"front":4,"back":4,"target_ghz":1.4,"util":0.72,"max_drvs":-5}`},
 		{"/v1/sweep", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.72},"axis":"aspect","values":[1,-1]}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"back_pins","values":[0,0.3]}`},
+		// Values the wire form would silently change: a seed is truncated
+		// to an int64, and 0 is the absent seed or aspect (the default).
+		{"/v1/sweep", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.72},"axis":"seed","values":[1.5,2]}`},
+		{"/v1/sweep", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.72},"axis":"seed","values":[1e19]}`},
+		{"/v1/sweep", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.72},"axis":"seed","values":[2,0]}`},
+		{"/v1/sweep", `{"base":{"front":4,"back":4,"target_ghz":1.4,"util":0.72},"axis":"aspect","values":[0,1]}`},
 		{"/v1/mc", `{"base":{"arch":"CFET","front":4,"back":4,"target_ghz":1.4,"util":0.7}}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"nm","values":[1]}`},
 		{"/v1/sweep", `{"base":{"front":4,"target_ghz":1.4,"util":0.7},"axis":"util","values":[]}`},

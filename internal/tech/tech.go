@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 )
 
 // Side distinguishes the two faces of the wafer.
@@ -62,6 +63,18 @@ func (a Arch) String() string {
 		return "FFET"
 	}
 	return "CFET"
+}
+
+// ParseArch returns the architecture a name stands for: "FFET" or
+// "CFET", in any case.
+func ParseArch(name string) (Arch, error) {
+	switch strings.ToUpper(name) {
+	case "FFET":
+		return FFET, nil
+	case "CFET":
+		return CFET, nil
+	}
+	return 0, fmt.Errorf("unknown arch %q (want FFET or CFET)", name)
 }
 
 // Direction is the preferred routing direction of a metal layer.

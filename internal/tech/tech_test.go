@@ -266,3 +266,16 @@ func TestViaStackR(t *testing.T) {
 		t.Errorf("zero-hop via stack R = %v", got)
 	}
 }
+
+func TestParseArch(t *testing.T) {
+	for name, want := range map[string]Arch{"ffet": FFET, "FFET": FFET, "CFET": CFET, "cFeT": CFET} {
+		if got, err := ParseArch(name); err != nil || got != want {
+			t.Errorf("ParseArch(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "GAA", "ffet "} {
+		if _, err := ParseArch(name); err == nil {
+			t.Errorf("ParseArch(%q) accepted an unknown arch", name)
+		}
+	}
+}
