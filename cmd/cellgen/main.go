@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -65,7 +64,7 @@ func main() {
 			os.Exit(1)
 		}
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			log.Fatal(err)
+			cliutil.Fail("cellgen", err)
 		}
 		for _, lib := range []*cell.Library{ffet, cfet} {
 			name := "ffet"
@@ -75,12 +74,12 @@ func main() {
 			if err := cliutil.WriteFile(filepath.Join(*outDir, name+".lib"), func(w io.Writer) error {
 				return cell.WriteLiberty(w, lib)
 			}); err != nil {
-				log.Fatal(err)
+				cliutil.Fail("cellgen", err)
 			}
 			if err := cliutil.WriteFile(filepath.Join(*outDir, name+".lef"), func(w io.Writer) error {
 				return lef.Write(w, lib, lef.SideConfig{})
 			}); err != nil {
-				log.Fatal(err)
+				cliutil.Fail("cellgen", err)
 			}
 			fmt.Printf("wrote %s/%s.{lib,lef}\n", *outDir, name)
 		}

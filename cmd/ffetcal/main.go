@@ -24,9 +24,23 @@ func main() {
 	cf := flag.Float64("cf", defaults.CapacityFactor, "capacity factor")
 	pb := flag.Float64("pb", defaults.PinSaturation, "pin saturation per um2")
 	pexp := flag.Float64("pexp", defaults.PinCrowdingExp, "pin crowding exponent")
-	sdc := flag.Float64("sdc", defaults.PinAccessFactor, "CFET pin access factor (1 or less: the flow's CFET rule, 1.5)")
+	sdc := flag.Float64("sdc", defaults.PinAccessFactor, "CFET pin access factor (1: the flow's CFET rule, 1.5)")
 	regs := flag.Int("regs", 32, "register count")
 	flag.Parse()
+
+	// The router runs its options as given, so check both variants once,
+	// before any flow starts.
+	ropt := defaults
+	ropt.CapacityFactor = *cf
+	ropt.PinSaturation = *pb
+	ropt.PinCrowdingExp = *pexp
+	cfetOpt := ropt
+	cfetOpt.PinAccessFactor = *sdc
+	for _, o := range []route.Options{ropt, cfetOpt} {
+		if err := o.Validate(); err != nil {
+			cliutil.Fail("ffetcal", err)
+		}
+	}
 
 	// SIGINT/SIGTERM cancel the sweep: in-flight runs stop within one
 	// stage, their cells report the cancellation, and the exit is non-zero.
@@ -79,14 +93,10 @@ func main() {
 				defer func() { <-sem }()
 				cfg := core.DefaultFlowConfig(sp.pat, 1.5, u)
 				cfg.BackPinFraction = sp.bp
-				ropt := defaults
-				ropt.CapacityFactor = *cf
-				ropt.PinSaturation = *pb
-				ropt.PinCrowdingExp = *pexp
-				if sp.label[0] == 'C' {
-					ropt.PinAccessFactor = *sdc
-				}
 				cfg.Route = ropt
+				if sp.label[0] == 'C' {
+					cfg.Route = cfetOpt
+				}
 				res, err := core.RunFlowCtx(ctx, sp.nl, cfg)
 				if err != nil {
 					results[si*len(utils)+ui] = result{si, ui, -1, false, err.Error(), 0, 0}

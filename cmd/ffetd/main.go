@@ -62,7 +62,7 @@ func main() {
 
 	s, err := serve.New(opt)
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fail("ffetd", err)
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 
@@ -95,7 +95,7 @@ func main() {
 
 	log.Printf("ffetd: listening on %s (scale=%s, cache=%dMiB)", *addr, *scaleFlag, *cacheMB)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+		cliutil.Fail("ffetd", err)
 	}
 	<-done
 	log.Printf("ffetd: bye")

@@ -7,7 +7,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 	"slices"
@@ -43,7 +42,7 @@ func main() {
 
 	suite, err := exp.NewSuite(scale)
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fail("ffetexp", err)
 	}
 	// SIGINT/SIGTERM cancel in-flight sweeps: running experiments drain
 	// within one stage per in-flight point, their partial tables still
@@ -68,11 +67,11 @@ func main() {
 			fmt.Printf("  (%s in %s)\n\n", id, time.Since(t0).Round(time.Millisecond))
 			if *outDir != "" {
 				if err := os.MkdirAll(*outDir, 0o755); err != nil {
-					log.Fatal(err)
+					cliutil.Fail("ffetexp", err)
 				}
 				path := filepath.Join(*outDir, t.ID+".csv")
 				if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-					log.Fatal(err)
+					cliutil.Fail("ffetexp", err)
 				}
 			}
 		}

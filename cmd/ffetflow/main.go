@@ -7,7 +7,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 	"time"
@@ -40,14 +39,14 @@ func main() {
 	lib := cell.NewLibrary(st)
 	nl, _, err := riscv.Generate(lib, riscv.Config{Name: "rv32", Registers: *regs})
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fail("ffetflow", err)
 	}
 	cfg := core.DefaultFlowConfig(tech.Pattern{Front: *front, Back: *back}, *target, *util)
 	cfg.BackPinFraction = *backPins
 	t0 := time.Now()
 	f, err := core.NewFlow(nl, cfg)
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fail("ffetflow", err)
 	}
 	// SIGINT/SIGTERM cancel the in-flight run: the pipeline stops within
 	// one stage boundary (or mid-stage inside the long loops), partial

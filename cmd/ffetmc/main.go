@@ -7,7 +7,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"runtime"
 	"time"
@@ -36,7 +35,7 @@ func main() {
 	flag.Parse()
 
 	if err := opt.Validate(); err != nil {
-		log.Fatal(err)
+		cliutil.Fail("ffetmc", err)
 	}
 
 	// SIGINT/SIGTERM cancel both the flow and the sampling loop; a
@@ -47,24 +46,24 @@ func main() {
 	lib := cell.NewLibrary(tech.NewFFET())
 	nl, _, err := riscv.Generate(lib, riscv.Config{Name: "rv32", Registers: *regs})
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fail("ffetmc", err)
 	}
 	cfg := core.DefaultFlowConfig(tech.Pattern{Front: *front, Back: *back}, *target, *util)
 	cfg.BackPinFraction = *backPins
 	f, err := core.NewFlow(nl, cfg)
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fail("ffetmc", err)
 	}
 	t0 := time.Now()
 	if err := f.RunToCtx(ctx, core.StageSTA); err != nil {
 		fail(f, err)
 	}
 	if f.Halted() {
-		log.Fatalf("flow halted: %s", f.Result().Reason)
+		cliutil.Fail("ffetmc", fmt.Errorf("flow halted: %s", f.Result().Reason))
 	}
 	basis, err := f.VariationBasis()
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fail("ffetmc", err)
 	}
 	flowDur := time.Since(t0)
 

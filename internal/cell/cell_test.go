@@ -21,9 +21,23 @@ func TestLibraryHas28Cells(t *testing.T) {
 	if got := len(cfet.Cells()); got != 28 {
 		t.Errorf("CFET library has %d cells, want 28", got)
 	}
+	// netlist.Remap rebinds instances to the same-named cell and keeps
+	// their connection tables, which are indexed by canonical pin index,
+	// so the two cells must list the same pins in the same order.
 	for _, name := range ffet.CellNames() {
-		if cfet.Cell(name) == nil {
+		f, c := ffet.Cell(name), cfet.Cell(name)
+		if c == nil {
 			t.Errorf("CFET library missing %s", name)
+			continue
+		}
+		if f.NumPins() != c.NumPins() {
+			t.Errorf("%s: FFET has %d pins, CFET %d", name, f.NumPins(), c.NumPins())
+			continue
+		}
+		for i := range f.NumPins() {
+			if f.PinName(i) != c.PinName(i) {
+				t.Errorf("%s pin %d: FFET %s, CFET %s", name, i, f.PinName(i), c.PinName(i))
+			}
 		}
 	}
 }

@@ -43,8 +43,10 @@ type FlowConfig struct {
 	// MaxDRVs is the validity rule: a P&R result is valid only if the
 	// total design-rule violation count stays below this (paper: 10).
 	MaxDRVs int
-	// Route tunes the router and is used as given, except that a CFET
-	// run lifts a PinAccessFactor of 1 or less to 1.5.
+	// Route tunes the router. Validate refuses what
+	// route.Options.Validate refuses, and the rest is used as given,
+	// except that a CFET run lifts a PinAccessFactor of 1 (the least
+	// Validate accepts) to 1.5.
 	Route route.Options
 }
 
@@ -93,11 +95,12 @@ func (c FlowConfig) Before(s Stage) FlowConfig {
 
 // Validate rejects a config no run on stack st can take: an out-of-range
 // knob (the target frequency and the aspect ratio must be positive and
-// finite, the utilization in (0, 1], the back-pin fraction in [0, 1], the
-// DRV budget MaxDRVs and the router's gcell edge positive; NaN fails
-// every check), a metal pattern st.Validate refuses, or backside pins
-// without backside routing layers. No field has a zero that means "the
-// default", so a zero is refused like any other out-of-range value.
+// finite, the utilization in (0, 1], the back-pin fraction in [0, 1] and
+// the DRV budget MaxDRVs positive; NaN fails every check), router options
+// route.Options.Validate refuses, a metal pattern st.Validate refuses, or
+// backside pins without backside routing layers. No field has a zero
+// that means "the default", so a zero is refused like any other
+// out-of-range value.
 // Every entry point — NewFlow, Fork, RunFlow and the daemon's request
 // decoding — runs it, so all of them reject a bad config the same way,
 // classified as ErrInvalidConfig.
@@ -114,10 +117,11 @@ func (c FlowConfig) Validate(st *tech.Stack) error {
 		err = fmt.Errorf("back-pin fraction %v must be in [0, 1]", c.BackPinFraction)
 	case c.MaxDRVs <= 0:
 		err = fmt.Errorf("DRV budget %d must be positive", c.MaxDRVs)
-	case c.Route.GCellNm <= 0:
-		err = fmt.Errorf("route gcell edge %d nm must be positive", c.Route.GCellNm)
 	default:
-		if err = st.Validate(c.Pattern); err == nil && c.BackPinFraction > 0 && c.Pattern.Back == 0 {
+		if err = c.Route.Validate(); err == nil {
+			err = st.Validate(c.Pattern)
+		}
+		if err == nil && c.BackPinFraction > 0 && c.Pattern.Back == 0 {
 			err = fmt.Errorf("backside pins need backside routing layers")
 		}
 	}
@@ -193,9 +197,10 @@ func (r *FlowResult) DRVs() int { return r.DRVsFront + r.DRVsBack }
 // none.
 //
 // It is a thin facade over the staged pipeline: NewFlow(nl, cfg).Run()
-// with checkpointing disabled (a one-shot run forks nothing, so it keeps
+// with checkpointing disabled. A one-shot run forks nothing, so it keeps
 // neither the synthesis netlist nor the placement positions a Flow
-// session keeps, and copies no netlist).
+// session keeps, and its session copies the netlist once, in synthesis
+// (synth.Run's Snapshot of nl), then works on that copy.
 //
 // Invalid runs (tap-cell placement violations or DRVs >= MaxDRVs) return a
 // FlowResult with Valid=false rather than an error; errors indicate

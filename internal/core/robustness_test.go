@@ -64,6 +64,20 @@ func TestErrInvalidConfigTaxonomy(t *testing.T) {
 		// edge is refused rather than replaced by the defaults.
 		{"route_partial", func(c *FlowConfig) { c.Route = route.Options{CapacityFactor: 2} }},
 		{"route_gcell_negative", func(c *FlowConfig) { c.Route.GCellNm = -1000 }},
+		// The router runs its options as given, so every value it would
+		// have clamped or replaced is refused up front.
+		{"route_iterations_negative", func(c *FlowConfig) { c.Route.Iterations = -1 }},
+		{"route_capacity_zero", func(c *FlowConfig) { c.Route.CapacityFactor = 0 }},
+		{"route_capacity_pos_inf", func(c *FlowConfig) { c.Route.CapacityFactor = inf }},
+		{"route_pin_saturation_zero", func(c *FlowConfig) { c.Route.PinSaturation = 0 }},
+		{"route_pin_saturation_nan", func(c *FlowConfig) { c.Route.PinSaturation = nan }},
+		{"route_pin_crowding_below_one", func(c *FlowConfig) { c.Route.PinCrowdingExp = 0.5 }},
+		{"route_pin_crowding_pos_inf", func(c *FlowConfig) { c.Route.PinCrowdingExp = inf }},
+		{"route_pin_access_zero", func(c *FlowConfig) { c.Route.PinAccessFactor = 0 }},
+		{"route_pin_access_below_one", func(c *FlowConfig) { c.Route.PinAccessFactor = 0.5 }},
+		{"route_pin_access_nan", func(c *FlowConfig) { c.Route.PinAccessFactor = nan }},
+		{"route_history_negative", func(c *FlowConfig) { c.Route.HistoryGain = -1 }},
+		{"route_history_neg_inf", func(c *FlowConfig) { c.Route.HistoryGain = -inf }},
 	}
 	nl := smallCore(t, ffetLib)
 	parent, err := NewFlow(nl, robustCfg())

@@ -616,7 +616,9 @@ func copyResultPrefix(dst, src *FlowResult, upTo Stage) {
 // monolithic flow it replaced (core.TestFlowGolden holds both to the
 // same artifacts).
 
-// stageSynth sizes and buffers a copy of the input netlist.
+// stageSynth sizes and buffers a copy of the input netlist (synth.Run
+// takes it with Snapshot and only reads f.input, which concurrent
+// sessions share).
 func (f *Flow) stageSynth() error {
 	syn, err := synth.Run(f.input, synth.DefaultOptions(f.cfg.TargetFreqGHz))
 	if err != nil {

@@ -50,8 +50,8 @@ type Result struct {
 // buffer only; flop CP pins are reconnected to leaf buffer nets. Buffers
 // are positioned at cluster centroids (legalize afterwards).
 func Run(nl *netlist.Netlist, fp *floorplan.Plan, opt Options) (*Result, error) {
-	if opt.MaxLeafFanout <= 1 {
-		opt = DefaultOptions()
+	if opt.MaxLeafFanout < 1 {
+		return nil, fmt.Errorf("cts: leaf fanout %d must be positive", opt.MaxLeafFanout)
 	}
 	clk := nl.ClockNet()
 	if clk == nil {

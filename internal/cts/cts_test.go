@@ -105,3 +105,16 @@ func TestCTSRequiresClock(t *testing.T) {
 		t.Fatal("CTS without a clock must fail")
 	}
 }
+
+// TestCTSRejectsZeroLeafFanout: the options are used as given, and a
+// leaf fanout below 1 would split a one-sink cluster forever.
+func TestCTSRejectsZeroLeafFanout(t *testing.T) {
+	nl, _, err := riscv.Generate(lib, riscv.Config{Name: "c", Registers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _ := floorplan.New(lib.Stack, nl.CellAreaNm2(), 0.7, 1.0)
+	if _, err := Run(nl, fp, Options{BufferDrive: 4}); err == nil {
+		t.Fatal("CTS with a zero leaf fanout must fail")
+	}
+}

@@ -233,8 +233,10 @@ func (s *Suite) ctx() context.Context {
 // minus only the cosmetic Name, which no stage reads. Embedding the
 // whole config means every result-affecting field — MaxDRVs and the
 // router options included — keeps distinct memo entries, and no field
-// has a zero that stands for a default. Only the CFET pin-access lift of
-// core's route stage still runs distinct configs alike.
+// has a zero that stands for a default. Router values the router could
+// not run as given are refused (route.Options.Validate), so only the CFET
+// pin-access lift of core's route stage still runs two distinct configs
+// alike: a PinAccessFactor of 1, lifted to 1.5, and 1.5 itself.
 type RunKey struct {
 	arch tech.Arch
 	cfg  core.FlowConfig

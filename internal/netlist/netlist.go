@@ -7,7 +7,6 @@ package netlist
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cell"
 	"repro/internal/geom"
@@ -60,9 +59,10 @@ type Net struct {
 	Driver PinRef
 	Sinks  []PinRef
 	// Seq is the net's position in Netlist.Nets, assigned at EnsureNet
-	// time and kept in sync by SortNetsByName. Like Instance.Seq it is the
-	// dense id the flow stages (extraction, STA, CTS, power) use to keep
-	// per-net state in flat slices instead of name- or pointer-keyed maps.
+	// time and never changed. Like Instance.Seq it is the dense id the
+	// flow stages (extraction, STA, CTS, power) use to keep per-net state
+	// in flat slices instead of name- or pointer-keyed maps, and the
+	// index Snapshot resolves each copied net by.
 	Seq     int
 	IsClock bool
 }
@@ -363,59 +363,34 @@ func (nl *Netlist) Validate() error {
 	return nil
 }
 
-// Remap returns a deep copy of the netlist bound to another library. Cell
-// names must exist in the target library (the FFET and CFET libraries are
-// name-compatible, enabling the paper's like-for-like block comparison).
+// Remap returns a copy of the netlist bound to another library: a
+// Snapshot whose instances use lib's same-named cells, so nets, sink
+// order, Seq ids and physical state carry over unchanged. Same-named
+// cells of the FFET and CFET libraries list the same pins in the same
+// order, which keeps every connection table valid and enables the
+// paper's like-for-like block comparison. A cell lib lacks is refused.
 func (nl *Netlist) Remap(lib *cell.Library) (*Netlist, error) {
-	out := New(nl.Name, lib)
-	for _, p := range nl.Ports {
-		out.AddPort(p.Name, p.Dir)
-	}
-	for _, i := range nl.Instances {
-		c := lib.Cell(i.Cell.Name)
+	out := nl.Snapshot()
+	out.Lib = lib
+	for _, inst := range out.Instances {
+		c := lib.Cell(inst.Cell.Name)
 		if c == nil {
-			return nil, fmt.Errorf("netlist: target library lacks %s", i.Cell.Name)
+			return nil, fmt.Errorf("netlist: target library lacks %s", inst.Cell.Name)
 		}
-		conns := make(map[string]string, len(i.conns))
-		for pi, n := range i.conns {
-			if n != nil {
-				conns[i.Cell.PinName(pi)] = n.Name
-			}
-		}
-		if _, err := out.AddInstance(i.Name, c, conns); err != nil {
-			return nil, err
-		}
-	}
-	for _, n := range nl.Nets {
-		if n.IsClock {
-			out.MarkClock(n.Name)
-		}
+		inst.Cell = c
 	}
 	return out, nil
-}
-
-// Clone returns a deep copy bound to the same library. It rebuilds the
-// netlist by replaying AddPort/AddInstance (via Remap), so physical state
-// (instance and port positions, Fixed flags) is NOT carried over and net
-// creation order follows the replay, not the source's history. Use
-// Snapshot for an exact state-preserving copy.
-func (nl *Netlist) Clone() *Netlist {
-	out, err := nl.Remap(nl.Lib)
-	if err != nil {
-		panic("netlist: clone failed: " + err.Error())
-	}
-	return out
 }
 
 // Snapshot returns an exact deep copy of the netlist: every instance,
 // net and port is duplicated at the same Seq and slice position with its
 // physical state (Pos, Fixed, port positions), connection tables and
 // sink order preserved bit-for-bit. Mutating either copy never affects
-// the other. This is the checkpoint primitive of the staged flow
-// (core.Flow): placement and CTS mutate instances in place, so forking a
-// flow session at a stage boundary requires the netlist state at that
-// boundary, not a structural replay like Clone/Remap (which resets
-// positions and may reorder nets relative to the source's history).
+// the other, and Snapshot only reads its source, so any number of
+// goroutines may copy one netlist at once. It is the netlist's one deep
+// copy: synthesis copies its input with it, Remap rebinds one to another
+// library, and the staged flow (core.Flow) copies the shared synthesis
+// netlist with it before placement first mutates a session's netlist.
 func (nl *Netlist) Snapshot() *Netlist {
 	out := &Netlist{
 		Name:       nl.Name,
@@ -569,16 +544,6 @@ func (nl *Netlist) TopoLevels() ([][]*Instance, []*Instance) {
 		}
 	}
 	return levels, cyclic
-}
-
-// SortNetsByName orders the net list deterministically (useful before
-// emitting artifacts). Net Seq ids are re-stamped to match the new order,
-// which invalidates any Seq-indexed side tables built beforehand.
-func (nl *Netlist) SortNetsByName() {
-	sort.Slice(nl.Nets, func(i, j int) bool { return nl.Nets[i].Name < nl.Nets[j].Name })
-	for i, n := range nl.Nets {
-		n.Seq = i
-	}
 }
 
 // Reconnect moves an instance input pin from its current net to another

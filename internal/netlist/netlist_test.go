@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/geom"
 	"repro/internal/tech"
 )
 
@@ -151,6 +152,7 @@ func TestTopoDetectsCycle(t *testing.T) {
 
 func TestRemapToCFET(t *testing.T) {
 	nl := buildSmall(t)
+	nl.Instances[0].Pos = geom.Pt(1234, 567)
 	cfet := cell.NewLibrary(tech.NewCFET())
 	mapped, err := nl.Remap(cfet)
 	if err != nil {
@@ -171,6 +173,14 @@ func TestRemapToCFET(t *testing.T) {
 	}
 	if !mapped.Net("clk").IsClock {
 		t.Error("clock mark lost in remap")
+	}
+	// Remap is a Snapshot with rebound cells: physical state carries over
+	// and the source keeps its own cells.
+	if mapped.Instances[0].Pos != nl.Instances[0].Pos {
+		t.Error("position lost in remap")
+	}
+	if nl.Instance("u1").Cell.Arch != tech.FFET {
+		t.Error("remap rebound the source's instance")
 	}
 	// CFET instances are larger (4T vs 3.5T).
 	if !(mapped.CellAreaUm2() > nl.CellAreaUm2()) {

@@ -85,7 +85,7 @@ func sameStructure(t *testing.T, a, b *Netlist) {
 
 func TestSnapshotExactCopy(t *testing.T) {
 	nl := buildSmall(t)
-	// Give the netlist physical state a Clone/Remap would drop.
+	// Give the netlist physical state the copy must keep.
 	nl.Instances[0].Pos = geom.Pt(1234, 567)
 	nl.Instances[1].Fixed = true
 	nl.Ports[2].Pos = geom.Pt(9, 8)

@@ -60,9 +60,6 @@ type Result struct {
 // Place runs global placement and legalization in sequence. Blockages maps
 // row index to blocked X intervals (tap cells + halos).
 func Place(nl *netlist.Netlist, fp *floorplan.Plan, blockages map[int][]geom.Interval, opt Options) (*Result, error) {
-	if opt.GlobalIters <= 0 {
-		opt = DefaultOptions()
-	}
 	Global(nl, fp, opt)
 	if err := Legalize(nl, fp, blockages); err != nil {
 		return nil, err
@@ -717,48 +714,6 @@ func take(free *[]geom.Interval, x, w int64) {
 		return
 	}
 	panic("place: take without matching probe")
-}
-
-// allocate finds a site-aligned slot of width w in the free list closest
-// to target, removes it from the list, and returns its position.
-func allocate(free *[]geom.Interval, target, w, cpp int64) (int64, bool) {
-	bestCost := int64(1) << 62
-	bestIdx := -1
-	var bestX int64
-	for i, f := range *free {
-		lo := geom.SnapDown(f.Lo+cpp-1, 0, cpp) // first site boundary inside
-		hi := f.Hi - w
-		if hi < lo {
-			continue
-		}
-		x := geom.Clamp64(target, lo, hi)
-		x = geom.SnapDown(x, 0, cpp)
-		if x < lo {
-			x = lo
-		}
-		cost := geom.Abs64(x - target)
-		if cost < bestCost {
-			bestCost = cost
-			bestIdx = i
-			bestX = x
-		}
-	}
-	if bestIdx < 0 {
-		return 0, false
-	}
-	f := (*free)[bestIdx]
-	var repl []geom.Interval
-	if bestX > f.Lo {
-		repl = append(repl, geom.Interval{Lo: f.Lo, Hi: bestX})
-	}
-	if bestX+w < f.Hi {
-		repl = append(repl, geom.Interval{Lo: bestX + w, Hi: f.Hi})
-	}
-	out := append([]geom.Interval{}, (*free)[:bestIdx]...)
-	out = append(out, repl...)
-	out = append(out, (*free)[bestIdx+1:]...)
-	*free = out
-	return bestX, true
 }
 
 // CheckLegal verifies that no two instances overlap, that all instances

@@ -112,24 +112,32 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestAllocate covers the slot allocation Legalize runs on every row:
+// probe picks the site-aligned slot closest to the target, and take
+// splits the free interval around it.
 func TestAllocate(t *testing.T) {
 	free := []geom.Interval{{Lo: 0, Hi: 1000}}
-	x, ok := allocate(&free, 400, 100, 50)
-	if !ok || x != 400 {
-		t.Fatalf("allocate = %d,%v want 400", x, ok)
+	x, cost, ok := probe(free, 400, 100, 50)
+	if !ok || x != 400 || cost != 0 {
+		t.Fatalf("probe = %d,%d,%v want 400,0,true", x, cost, ok)
 	}
-	if len(free) != 2 || free[0].Hi != 400 || free[1].Lo != 500 {
-		t.Errorf("free after allocate = %v", free)
+	take(&free, x, 100)
+	if len(free) != 2 || free[0] != (geom.Interval{Lo: 0, Hi: 400}) || free[1] != (geom.Interval{Lo: 500, Hi: 1000}) {
+		t.Errorf("free after take = %v", free)
 	}
 	// Slot too small.
 	small := []geom.Interval{{Lo: 0, Hi: 80}}
-	if _, ok := allocate(&small, 0, 100, 50); ok {
-		t.Error("allocation in too-small interval must fail")
+	if _, _, ok := probe(small, 0, 100, 50); ok {
+		t.Error("probe found a slot in a too-small interval")
 	}
 	// Snapped to site grid.
 	free2 := []geom.Interval{{Lo: 130, Hi: 1000}}
-	x2, ok := allocate(&free2, 0, 100, 50)
+	x2, _, ok := probe(free2, 0, 100, 50)
 	if !ok || x2%50 != 0 || x2 < 130 {
-		t.Errorf("allocate snapped = %d,%v (must be on 50nm sites >= 150)", x2, ok)
+		t.Errorf("probe snapped = %d,%v (must be on 50nm sites >= 150)", x2, ok)
+	}
+	take(&free2, x2, 100)
+	if len(free2) != 2 || free2[0].Hi != x2 || free2[1].Lo != x2+100 {
+		t.Errorf("free after snapped take = %v", free2)
 	}
 }

@@ -50,9 +50,6 @@ func (r *Result) EfficiencyGHzPerW() float64 {
 // dense extraction database); nets with no entry (nil, or a short/nil
 // slice) use pin caps.
 func Analyze(nl *netlist.Netlist, stack *tech.Stack, netRC []*extract.NetRC, freqGHz float64, opt Options) *Result {
-	if opt.Activity <= 0 {
-		opt = DefaultOptions()
-	}
 	res := &Result{FreqGHz: freqGHz}
 	vdd2 := stack.VDD * stack.VDD
 

@@ -79,6 +79,32 @@ func DefaultOptions() Options {
 	}
 }
 
+// Validate refuses options the router cannot run as given: a
+// non-positive gcell edge, capacity factor or pin saturation, a pin
+// crowding exponent or pin access factor below 1, a negative iteration
+// count or history gain, and a NaN or infinite float. NewRouter and
+// core.FlowConfig.Validate both run it, so no value is rewritten at run
+// time.
+func (o Options) Validate() error {
+	switch {
+	case o.GCellNm <= 0:
+		return fmt.Errorf("route: gcell edge %d nm must be positive", o.GCellNm)
+	case o.Iterations < 0:
+		return fmt.Errorf("route: iteration count %d must not be negative", o.Iterations)
+	case !(o.CapacityFactor > 0) || math.IsInf(o.CapacityFactor, 1):
+		return fmt.Errorf("route: capacity factor %v must be positive and finite", o.CapacityFactor)
+	case !(o.PinSaturation > 0) || math.IsInf(o.PinSaturation, 1):
+		return fmt.Errorf("route: pin saturation %v must be positive and finite", o.PinSaturation)
+	case !(o.PinCrowdingExp >= 1) || math.IsInf(o.PinCrowdingExp, 1):
+		return fmt.Errorf("route: pin crowding exponent %v must be finite and at least 1", o.PinCrowdingExp)
+	case !(o.PinAccessFactor >= 1) || math.IsInf(o.PinAccessFactor, 1):
+		return fmt.Errorf("route: pin access factor %v must be finite and at least 1", o.PinAccessFactor)
+	case !(o.HistoryGain >= 0) || math.IsInf(o.HistoryGain, 1):
+		return fmt.Errorf("route: history gain %v must be non-negative and finite", o.HistoryGain)
+	}
+	return nil
+}
+
 // Pin is one net endpoint on this side. The router treats the packed
 // identity opaquely — it is carried through to the Tree so extraction
 // and DEF emission can resolve pins without any string plumbing.
@@ -275,8 +301,8 @@ func (r *Router) pollCancel() error {
 // NewRouter builds the routing grid for a side of the core area. layers
 // must be the side's signal routing layers (from tech.SideRoutingLayers).
 func NewRouter(core geom.Rect, side tech.Side, layers []tech.Layer, opt Options) (*Router, error) {
-	if opt.GCellNm <= 0 {
-		return nil, fmt.Errorf("route: gcell edge %d nm must be positive", opt.GCellNm)
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("route: no routing layers on side %v", side)
@@ -337,19 +363,9 @@ func (r *Router) cellOf(p geom.Point) (int, int) {
 func (r *Router) applyPinBlockage(nets []*Net) {
 	g := r.g
 	exp := r.opt.PinCrowdingExp
-	if exp < 1 {
-		exp = 1
-	}
-	sat := r.opt.PinSaturation
-	if sat <= 0 {
-		sat = 85
-	}
 	// Normalize the saturation limit to the gcell area (limit is per µm²).
-	sat *= float64(r.opt.GCellNm) / 1000 * float64(r.opt.GCellNm) / 1000
+	sat := r.opt.PinSaturation * (float64(r.opt.GCellNm) / 1000 * float64(r.opt.GCellNm) / 1000)
 	kappa := r.opt.PinAccessFactor
-	if kappa <= 0 {
-		kappa = 1
-	}
 	pins := make([]float64, g.w*g.h)
 	for _, n := range nets {
 		for _, p := range n.Pins {

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -233,14 +234,48 @@ func TestDriverCountValidation(t *testing.T) {
 	}
 }
 
-// TestNewRouterRejectsGCell: options without a positive gcell edge are
-// refused, not replaced by the defaults.
+// TestNewRouterRejectsGCell: options without a positive gcell edge, and
+// every other value the router cannot run as given, are refused rather
+// than replaced by a default or clamped at run time. The least accepted
+// values still build a router.
 func TestNewRouterRejectsGCell(t *testing.T) {
 	core := geom.R(0, 0, 8000, 8000)
-	for _, opt := range []Options{{CapacityFactor: 2}, {GCellNm: -1000}} {
-		if _, err := NewRouter(core, tech.Front, ffetFrontLayers(12), opt); err == nil {
-			t.Errorf("NewRouter(%+v) accepted a gcell edge of %d nm", opt, opt.GCellNm)
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []func(*Options){
+		func(o *Options) { *o = Options{CapacityFactor: 2} },
+		func(o *Options) { o.GCellNm = -1000 },
+		func(o *Options) { o.Iterations = -1 },
+		func(o *Options) { o.CapacityFactor = 0 },
+		func(o *Options) { o.PinSaturation = 0 },
+		func(o *Options) { o.PinSaturation = -97 },
+		func(o *Options) { o.PinCrowdingExp = 0.5 },
+		func(o *Options) { o.PinAccessFactor = 0 },
+		func(o *Options) { o.PinAccessFactor = 0.5 },
+		func(o *Options) { o.HistoryGain = -1 },
+	}
+	for _, v := range []float64{nan, inf, -inf} {
+		bad = append(bad,
+			func(o *Options) { o.CapacityFactor = v },
+			func(o *Options) { o.PinSaturation = v },
+			func(o *Options) { o.PinCrowdingExp = v },
+			func(o *Options) { o.PinAccessFactor = v },
+			func(o *Options) { o.HistoryGain = v },
+		)
+	}
+	for _, mutate := range bad {
+		opt := DefaultOptions()
+		mutate(&opt)
+		if opt.Validate() == nil {
+			t.Errorf("Validate accepted %+v", opt)
 		}
+		if _, err := NewRouter(core, tech.Front, ffetFrontLayers(12), opt); err == nil {
+			t.Errorf("NewRouter accepted %+v", opt)
+		}
+	}
+	least := DefaultOptions()
+	least.Iterations, least.PinCrowdingExp, least.PinAccessFactor, least.HistoryGain = 0, 1, 1, 0
+	if _, err := NewRouter(core, tech.Front, ffetFrontLayers(12), least); err != nil {
+		t.Errorf("NewRouter(%+v): %v", least, err)
 	}
 }
 

@@ -147,11 +147,7 @@ func (r *Router) buildTree(nr *netRoute, t *Tree, pinNode []int32, nodes []geom.
 	}
 	// Record driver-side pin crowding for the extraction escape model.
 	if g.pinsEff != nil && g.pinSat > 0 {
-		kappa := r.opt.PinAccessFactor
-		if kappa < 1 {
-			kappa = 1
-		}
-		t.EscapeCrowding = g.pinsEff[droot] / g.pinSat * math.Sqrt(kappa)
+		t.EscapeCrowding = g.pinsEff[droot] / g.pinSat * math.Sqrt(r.opt.PinAccessFactor)
 	}
 	salt := netSalt(nr.net.Name)
 

@@ -55,18 +55,18 @@ type Result struct {
 	AreaUm2       float64
 }
 
-// Run returns a sized and buffered copy of the input netlist.
+// Run returns a sized and buffered copy of the input netlist, taken with
+// Snapshot. It only reads nl, so concurrent runs may share one input, as
+// every synthesis root of a sweep shares the suite's netlist. The options
+// are used as given; start from DefaultOptions.
 func Run(nl *netlist.Netlist, opt Options) (*Result, error) {
 	if opt.TargetFreqGHz <= 0 {
 		return nil, fmt.Errorf("synth: target frequency must be positive")
 	}
 	if opt.MaxFanout < 2 {
-		opt.MaxFanout = 8
+		return nil, fmt.Errorf("synth: max fanout %d must be at least 2", opt.MaxFanout)
 	}
-	if opt.Passes <= 0 {
-		opt.Passes = 3
-	}
-	out := nl.Clone()
+	out := nl.Snapshot()
 	res := &Result{Netlist: out, TargetFreqGHz: opt.TargetFreqGHz}
 
 	nb, err := bufferHighFanout(out, opt)

@@ -2,6 +2,8 @@ package synth
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cell"
@@ -147,14 +149,83 @@ func TestInvalidTargetRejected(t *testing.T) {
 	}
 }
 
+// TestMaxFanoutBelowTwoRejected: the options are used as given, and a
+// fanout bound below 2 would buffer a net forever.
+func TestMaxFanoutBelowTwoRejected(t *testing.T) {
+	nl := fanoutNetlist(t, 3)
+	opt := DefaultOptions(1.0)
+	opt.MaxFanout = 1
+	if _, err := Run(nl, opt); err == nil {
+		t.Fatal("max fanout 1 must be rejected")
+	}
+}
+
+// structure renders a netlist's whole structure in order: every net's
+// driver and sinks, every instance's cell, position and pin nets, and
+// every port.
+func structure(nl *netlist.Netlist) string {
+	var b strings.Builder
+	for _, n := range nl.Nets {
+		fmt.Fprintf(&b, "net %d %s clock=%v driver=%v sinks=%v\n", n.Seq, n.Name, n.IsClock, n.Driver, n.Sinks)
+	}
+	for _, i := range nl.Instances {
+		fmt.Fprintf(&b, "inst %d %s %s %v %v", i.Seq, i.Name, i.Cell.Name, i.Pos, i.Fixed)
+		for pi := range i.Cell.NumPins() {
+			if n := i.ConnAt(pi); n != nil {
+				fmt.Fprintf(&b, " %s=%s", i.Cell.PinName(pi), n.Name)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	for _, p := range nl.Ports {
+		fmt.Fprintf(&b, "port %d %s %v %s %v\n", p.Seq, p.Name, p.Dir, p.Net.Name, p.Pos)
+	}
+	return b.String()
+}
+
+// TestOriginalUntouched: Run only reads its input, as every synthesis
+// root of a sweep shares the suite's one netlist. Concurrent runs on one
+// input leave its whole structure unchanged, and each equals a serial
+// run. CI runs this package under the race detector.
 func TestOriginalUntouched(t *testing.T) {
-	nl := fanoutNetlist(t, 60)
-	before := nl.Stats()
-	if _, err := Run(nl, DefaultOptions(2.0)); err != nil {
+	core, _, err := riscv.Generate(lib, riscv.Config{Name: "c", Registers: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := nl.Stats()
-	if before.Instances != after.Instances || before.AreaUm2 != after.AreaUm2 {
-		t.Error("Run must not mutate its input netlist")
+	for _, nl := range []*netlist.Netlist{fanoutNetlist(t, 60), core} {
+		before := structure(nl)
+		serial, err := Run(nl, DefaultOptions(2.0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.BuffersAdded == 0 {
+			t.Fatalf("%s: no buffers inserted, so the copy is never mutated", nl.Name)
+		}
+		want := structure(serial.Netlist)
+		const workers = 4
+		got := make([]*Result, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[w], errs[w] = Run(nl, DefaultOptions(2.0))
+			}()
+		}
+		wg.Wait()
+		if structure(nl) != before {
+			t.Fatalf("%s: Run mutated its input netlist", nl.Name)
+		}
+		for w, res := range got {
+			if errs[w] != nil {
+				t.Fatal(errs[w])
+			}
+			if structure(res.Netlist) != want || res.Depth != serial.Depth ||
+				res.BuffersAdded != serial.BuffersAdded || res.Upsized != serial.Upsized ||
+				res.AreaUm2 != serial.AreaUm2 {
+				t.Errorf("%s: concurrent run %d differs from the serial run", nl.Name, w)
+			}
+		}
 	}
 }
